@@ -1,27 +1,15 @@
 """Streaming ingestion benchmark — ``BENCH_stream.json``.
 
-Three claims of the crash-safe streaming protocol, measured end to end on
+Two claims of the crash-safe streaming protocol, measured end to end on
 a SQLite warehouse:
 
 * **append throughput** — events/s sustained by the journaled epoch
   protocol (open, chunked appends, finalize) across a batch of runs;
-* **delta vs rebuild** — per-epoch incremental maintenance of the
-  lineage-closure index (``closure_delta_rows``) against rebuilding it
-  from scratch after every epoch, reported as total maintenance overhead
-  over the same stream.  Reachability labels are excluded on purpose:
-  their interval encoding is global, so ``try_extend`` only handles
-  epochs that add forest roots and chained steps legitimately rebuild
-  (see the ``try_extend`` docstring) — the closure is where the
-  incremental path must win;
 * **watch latency** — p50/p95 of :meth:`repro.zoom.session.RunWatch.poll`
   observing each committed epoch (stream-state read + reasoner refresh).
 
-Assertions:
-
-* canonical (frontier-shaped) chunks never force a rebuild
-  (``stream.rebuild`` == 0 while ``stream.delta`` counts every epoch);
-* the checksum the producer computed matches the stored rows;
-* full mode only: per-epoch rebuilds cost more than the delta path.
+Assertions: every epoch is observed by exactly one watch poll, and the
+checksum the producer computed matches the stored rows.
 
 Run standalone for CI (``python benchmarks/bench_stream.py --smoke``) or
 under pytest with the other benchmarks; both write ``BENCH_stream.json``
@@ -92,35 +80,23 @@ def _make_logs(runs, target_size, run_class, seed=7):
     return generated.spec, logs
 
 
-def _stream(warehouse, spec_id, run_id, chunks, *, before_epoch=None,
-            after_epoch=None, session=None):
-    """Stream one chunked run; returns (elapsed_s, per-epoch durations)."""
-    ingestor = StreamingIngestor(
-        warehouse,
-        reasoner=None if session is None else session.reasoner,
-    )
-    watch = None if session is None else session.watch(run_id)
+def _stream(warehouse, spec_id, run_id, chunks, session):
+    """Stream one chunked run; returns (elapsed_s, watch poll latencies)."""
+    ingestor = StreamingIngestor(warehouse, reasoner=session.reasoner)
+    watch = session.watch(run_id)
     poll_latencies = []
-    epoch_durations = []
     started = time.perf_counter()
     ingestor.open_run(run_id, spec_id)
-    if before_epoch is not None:
-        before_epoch(run_id)
     for chunk in chunks:
-        tick = time.perf_counter()
         ingestor.ingest_events(run_id, chunk)
-        epoch_durations.append(time.perf_counter() - tick)
-        if after_epoch is not None:
-            after_epoch(run_id)
-        if watch is not None:
-            tick = time.perf_counter()
-            update = watch.poll()
-            poll_latencies.append(time.perf_counter() - tick)
-            assert update is not None and not update.final
+        tick = time.perf_counter()
+        update = watch.poll()
+        poll_latencies.append(time.perf_counter() - tick)
+        assert update is not None and not update.final
     checksum = ingestor.finalize_run(run_id)
     elapsed = time.perf_counter() - started
     assert checksum == checksum_stored_run(warehouse, run_id)
-    return elapsed, epoch_durations, poll_latencies
+    return elapsed, poll_latencies
 
 
 def run_streaming_benchmark(runs, target_size, run_class, max_events):
@@ -136,58 +112,19 @@ def run_streaming_benchmark(runs, target_size, run_class, max_events):
         total_epochs = sum(len(chunks) for _r, chunks in chunked)
 
         with tempfile.TemporaryDirectory(prefix="bench-stream-") as tmp:
-            # Phase 1 — plain append throughput + watch latency (no
-            # persistent indexes in the way).
-            warehouse = SqliteWarehouse(str(Path(tmp) / "plain.sqlite"))
+            warehouse = SqliteWarehouse(str(Path(tmp) / "stream.sqlite"))
             spec_id = warehouse.store_spec(spec)
             session = Session(warehouse, spec_id)
             append_time = 0.0
             polls = []
             for run_id, chunks in chunked:
-                elapsed, _epochs, latencies = _stream(
-                    warehouse, spec_id, run_id, chunks, session=session,
+                elapsed, latencies = _stream(
+                    warehouse, spec_id, run_id, chunks, session
                 )
                 append_time += elapsed
                 polls.extend(latencies)
             warehouse.close()
 
-            # Phase 2 — live incremental maintenance: indexes built at
-            # epoch 1, epoch deltas keep them current.
-            warehouse = SqliteWarehouse(str(Path(tmp) / "delta.sqlite"))
-            spec_id = warehouse.store_spec(spec)
-
-            def build_once(run_id):
-                warehouse.build_lineage_index(run_id)
-
-            delta_time = 0.0
-            for run_id, chunks in chunked:
-                elapsed, _epochs, _polls = _stream(
-                    warehouse, spec_id, run_id, chunks,
-                    before_epoch=build_once,
-                )
-                delta_time += elapsed
-            delta_count = registry.counter("stream.delta").value
-            rebuild_count = registry.counter("stream.rebuild").value
-            warehouse.close()
-
-            # Phase 3 — the alternative the delta path replaces: rebuild
-            # both indexes from scratch after every committed epoch.
-            warehouse = SqliteWarehouse(str(Path(tmp) / "rebuild.sqlite"))
-            spec_id = warehouse.store_spec(spec)
-
-            def rebuild(run_id):
-                warehouse.build_lineage_index(run_id, rebuild=True)
-
-            rebuild_time = 0.0
-            for run_id, chunks in chunked:
-                elapsed, _epochs, _polls = _stream(
-                    warehouse, spec_id, run_id, chunks, after_epoch=rebuild,
-                )
-                rebuild_time += elapsed
-            warehouse.close()
-
-        delta_overhead = max(delta_time - append_time, 0.0)
-        rebuild_overhead = max(rebuild_time - append_time, 0.0)
         return {
             "runs": runs,
             "epochs": total_epochs,
@@ -195,19 +132,6 @@ def run_streaming_benchmark(runs, target_size, run_class, max_events):
             "max_events": max_events,
             "append_s": round(append_time, 6),
             "events_per_s": round(total_events / append_time, 1),
-            "delta": {
-                "count": delta_count,
-                "total_s": round(delta_time, 6),
-                "overhead_s": round(delta_overhead, 6),
-            },
-            "rebuild": {
-                "count": rebuild_count,
-                "total_s": round(rebuild_time, 6),
-                "overhead_s": round(rebuild_overhead, 6),
-            },
-            "rebuild_over_delta": round(
-                rebuild_time / delta_time, 3
-            ) if delta_time else None,
             "watch": {
                 "polls": len(polls),
                 "p50_ms": round(_percentile(polls, 0.50) * 1e3, 4),
@@ -228,30 +152,14 @@ def _print_summary(payload: dict) -> None:
     print("\n== Streaming ingestion (%d runs, %d epochs, %d events) =="
           % (payload["runs"], payload["epochs"], payload["events"]))
     print("  append throughput: %10.1f events/s" % payload["events_per_s"])
-    print("  index maintenance: delta %.3fs (%d epochs) vs per-epoch "
-          "rebuild %.3fs (%.2fx)"
-          % (payload["delta"]["total_s"], payload["delta"]["count"],
-             payload["rebuild"]["total_s"],
-             payload["rebuild_over_delta"] or 0.0))
     print("  watch poll latency: p50 %.3f ms  p95 %.3f ms  (%d polls)"
           % (payload["watch"]["p50_ms"], payload["watch"]["p95_ms"],
              payload["watch"]["polls"]))
 
 
-def _check(payload: dict, smoke: bool) -> None:
+def _check(payload: dict) -> None:
     assert payload["events_per_s"] > 0
-    assert payload["rebuild"]["count"] == 0, (
-        "frontier-shaped chunks forced %d rebuilds"
-        % payload["rebuild"]["count"]
-    )
-    assert payload["delta"]["count"] > 0, "delta path never ran"
     assert payload["watch"]["polls"] == payload["epochs"]
-    if not smoke:
-        assert payload["rebuild_over_delta"] >= 1.0, (
-            "per-epoch rebuilds (%.3fs) came out cheaper than the delta "
-            "path (%.3fs)" % (payload["rebuild"]["total_s"],
-                              payload["delta"]["total_s"])
-        )
 
 
 def test_bench_stream(record_property=None) -> None:
@@ -259,7 +167,7 @@ def test_bench_stream(record_property=None) -> None:
     payload = run_streaming_benchmark(**FULL_PARAMS)
     _write(payload, _JSON_PATH)
     _print_summary(payload)
-    _check(payload, smoke=False)
+    _check(payload)
 
 
 def main(argv=None) -> int:
@@ -280,7 +188,7 @@ def main(argv=None) -> int:
     _write(payload, Path(args.out))
     _print_summary(payload)
     try:
-        _check(payload, smoke=args.smoke)
+        _check(payload)
     except AssertionError as exc:
         print("FAILED: %s" % exc, file=sys.stderr)
         return 1

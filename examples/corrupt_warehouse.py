@@ -24,9 +24,9 @@ Planted defects and the rules they trigger:
   the footprint of a bulk load killed between journalling and commit
   (``WH041``, torn ingest);
 * a streaming run left open at rest — its producer died without
-  finalizing (``WH046``) — and a second open stream whose lineage index
+  finalizing (``WH046``) — and a second open stream whose label index
   was last maintained an epoch behind the committed rows, the footprint
-  of a crash between the epoch commit and the index delta (``WH047``).
+  of a crash between the epoch commit and the label delta (``WH047``).
 
 With ``--sharded`` the script instead vandalises a sharded federation:
 a healthy spec-routed load whose runs all pile onto one shard
@@ -93,9 +93,9 @@ def build(path: str) -> str:
         ingestor.open_run(run_id, spec_id)
         for chunk in chunk_log(log):
             ingestor.ingest_events(run_id, chunk)
-    # stream2 additionally carries a lineage index, so winding its
-    # delta watermark back (below) makes the index verifiably stale.
-    warehouse.build_lineage_index("healthy/stream2")
+    # stream2 additionally carries a label index, so winding its
+    # delta watermark back (below) makes the labels verifiably stale.
+    warehouse.build_label_index("healthy/stream2")
     warehouse.close()
 
     # Now the vandalism, straight into the tables.
@@ -174,9 +174,9 @@ def build(path: str) -> str:
         db.execute(
             "UPDATE _stream_state SET opened_at = opened_at - 3600"
         )
-        # -- a trailing index watermark (WH047): the epoch committed but
-        #    the crash hit before the incremental index maintenance, so
-        #    stream2's lineage index still answers for the epoch before.
+        # -- a trailing label watermark (WH047): the epoch committed but
+        #    the crash hit before the incremental label maintenance, so
+        #    stream2's labels still answer for the epoch before.
         db.execute(
             "UPDATE _stream_state SET delta_epoch = epoch - 1"
             " WHERE run_id = 'healthy/stream2'"

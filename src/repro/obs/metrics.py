@@ -16,18 +16,16 @@ with :func:`timed`:
 ``reasoner.view_switch``
     Re-answering a deep query under a different view on a warm reasoner
     (the paper's 13 ms interactivity claim).
-``index.build``
-    Materialising a run's lineage-closure index
-    (:meth:`~repro.warehouse.base.ProvenanceWarehouse.build_lineage_index`).
-``index.lookup``
-    Serving a deep-provenance answer from the materialised index (the
-    ``indexed`` reasoner strategy); the companion ``index.hit`` /
-    ``index.miss`` counters record whether the warehouse closure was
-    answered from the index or by recursion.
+``labels.build``
+    Materialising a run's reachability labels
+    (:meth:`~repro.warehouse.base.ProvenanceWarehouse.build_label_index`).
+``labels.lookup``
+    Serving a deep-provenance answer from the labels (the ``labeled``
+    reasoner strategy).
 ``ingest.prepare`` / ``ingest.gate`` / ``ingest.write``
     The three stages of the batch-ingestion pipeline
     (:func:`repro.warehouse.pipeline.ingest_dataset`): waiting on a
-    prepared run (row shaping + lint + closure, possibly in a worker),
+    prepared run (row shaping + lint + labels, possibly in a worker),
     applying the lint gate to a batch, and the single-transaction bulk
     write.  The companion counters ``ingest.runs`` / ``ingest.batches`` /
     ``ingest.specs`` record throughput.

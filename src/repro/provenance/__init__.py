@@ -6,13 +6,7 @@ from .derivation import (
     derivation_paths,
     shortest_derivation,
 )
-from .index import (
-    LineageClosure,
-    closure_from_rows,
-    closure_table_rows,
-    compute_lineage_closure,
-    project_closure,
-)
+from .index import project_closure
 from .invalidation import ReexecutionPlan, ReexecutionPlanner
 from .opm import account_overlap, export_account, export_opm, to_json
 from .queries import deep_provenance, immediate_provenance, reverse_provenance
@@ -23,7 +17,6 @@ from .rundiff import EdgeDelta, ModuleDelta, RunDiff, diff_runs
 __all__ = [
     "DerivationPath",
     "EdgeDelta",
-    "LineageClosure",
     "ModuleDelta",
     "ProvenanceReasoner",
     "ProvenanceResult",
@@ -33,9 +26,6 @@ __all__ = [
     "ReverseProvenanceResult",
     "RunDiff",
     "account_overlap",
-    "closure_from_rows",
-    "closure_table_rows",
-    "compute_lineage_closure",
     "deep_provenance",
     "derivation_exists",
     "derivation_paths",

@@ -1,387 +1,30 @@
-"""The materialized lineage-closure index: compute once, look up forever.
+"""Project view-level deep provenance from UAdmin closures.
 
 The paper's response-time experiment (Section V-B) is dominated by the
 recursive closure — Oracle ``CONNECT BY`` there, a SQLite recursive CTE or
 BFS here — and its winning strategy amortises that cost by computing UAdmin
-provenance once per run and projecting view-level answers from it.  Bao &
-Davidson's *Labeling Workflow Views with Fine-Grained Dependencies* pushes
-the idea to its limit: precompute reachability so lineage queries become
-lookups rather than traversals.
+provenance once per run and projecting view-level answers from it.
 
-This module is that precomputation.  :func:`compute_lineage_closure` makes
-**one** topological pass over a run's relational rows and derives, for every
-data object, the full set of ancestor steps and lineage user inputs — the
-exact answer :meth:`~repro.warehouse.base.ProvenanceWarehouse.admin_deep_provenance`
-would compute by recursion.  Warehouses persist the result (a
-``dict``-of-``frozenset`` structure in memory, a ``lineage`` table in
-SQLite), after which deep provenance at UAdmin granularity is a single
-indexed range lookup: constant traversal depth regardless of how deep the
-workflow is.
-
-:func:`project_closure` supplies the second half of the paper's design:
-given a (cached) :class:`~repro.core.composite.CompositeRun` and an
-accessor for UAdmin closures, it answers a *view-level* deep-provenance
-query by folding whole admin closures into the induced run — provably equal
-to the reference BFS of :func:`~repro.provenance.queries.deep_provenance`,
-but jumping an entire admin lineage per index lookup instead of walking
-edge by edge.
+:func:`project_closure` is that projection: given a (cached)
+:class:`~repro.core.composite.CompositeRun` and an accessor for UAdmin
+closures (the reachability labels of :mod:`repro.provenance.labels`), it
+answers a *view-level* deep-provenance query by folding whole admin
+closures into the induced run — provably equal to the reference BFS of
+:func:`~repro.provenance.queries.deep_provenance`, but jumping an entire
+admin lineage per lookup instead of walking edge by edge.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Deque,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Deque, Set
 
-from ..core.errors import HiddenDataError, WarehouseError
+from ..core.errors import HiddenDataError
 from ..core.spec import INPUT
 from .result import ProvenanceResult, ProvenanceRow
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only imports
     from ..core.composite import CompositeRun
-    from ..warehouse.base import ProvenanceWarehouse
-
-#: ``step_id`` sentinel of stored closure rows that mark a lineage user
-#: input rather than a (step, input-data) ancestor pair.  Reuses the run
-#: graph's reserved ``input`` node name, which no real step may carry.
-INPUT_MARKER = INPUT
-
-
-@dataclass
-class LineageClosure:
-    """The full data-lineage closure of one run, ready to persist.
-
-    Attributes
-    ----------
-    run_id:
-        The run the closure describes.
-    modules:
-        ``step_id -> module`` for every step of the run.
-    step_inputs:
-        ``step_id -> sorted input data ids`` (one closure row per pair).
-    lineage_steps:
-        ``data_id -> frozenset of ancestor step ids``: every step whose
-        execution transitively contributed to the data object.
-    lineage_inputs:
-        ``data_id -> frozenset of user inputs`` in the object's lineage
-        (a user input's lineage is itself).
-    """
-
-    run_id: str
-    modules: Dict[str, str] = field(default_factory=dict)
-    step_inputs: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    lineage_steps: Dict[str, FrozenSet[str]] = field(default_factory=dict)
-    lineage_inputs: Dict[str, FrozenSet[str]] = field(default_factory=dict)
-
-    def data_ids(self) -> List[str]:
-        """Every data object covered by the closure, sorted."""
-        return sorted(self.lineage_steps)
-
-    def result_for(self, data_id: str) -> ProvenanceResult:
-        """Materialise the stored closure of one object as a query answer."""
-        try:
-            steps = self.lineage_steps[data_id]
-        except KeyError:
-            raise WarehouseError(
-                "data %r is not covered by the lineage closure of run %r"
-                % (data_id, self.run_id)
-            ) from None
-        result = ProvenanceResult(target=data_id, view_name="UAdmin")
-        for step_id in sorted(steps):
-            module = self.modules[step_id]
-            for data_in in self.step_inputs[step_id]:
-                result.rows.append(
-                    ProvenanceRow(step_id=step_id, module=module, data_in=data_in)
-                )
-        result.user_inputs = set(self.lineage_inputs[data_id])
-        return result
-
-    def iter_table_rows(self) -> Iterator[Tuple[str, str, str]]:
-        """Flatten to ``(data_id, step_id, data_in)`` relational rows.
-
-        Ancestor rows carry a real step id; lineage user inputs are stored
-        as ``(data_id, INPUT_MARKER, user_input_id)`` marker rows, so one
-        table holds the complete answer to a deep-provenance query.
-        """
-        for data_id in self.data_ids():
-            for step_id in sorted(self.lineage_steps[data_id]):
-                for data_in in self.step_inputs[step_id]:
-                    yield (data_id, step_id, data_in)
-            for user_input in sorted(self.lineage_inputs[data_id]):
-                yield (data_id, INPUT_MARKER, user_input)
-
-    def num_rows(self) -> int:
-        """Number of relational rows the closure materialises to."""
-        total = 0
-        for data_id in self.lineage_steps:
-            total += sum(
-                len(self.step_inputs[s]) for s in self.lineage_steps[data_id]
-            )
-            total += len(self.lineage_inputs[data_id])
-        return total
-
-
-def closure_from_rows(
-    run_id: str,
-    steps: Sequence[Tuple[str, str]],
-    io_rows: Sequence[Tuple[str, str, str]],
-    user_inputs: Sequence[str],
-) -> LineageClosure:
-    """Compute the lineage closure of one run from its relational rows.
-
-    One Kahn-style topological pass over the step graph: a step's ancestor
-    set is itself plus the union of its inputs' ancestor sets, and every
-    data object inherits the set of the step that wrote it.  The frozensets
-    are shared between a step's outputs, so memory stays proportional to
-    the number of *distinct* closures, not to the expanded row count.
-
-    Raises :class:`~repro.core.errors.WarehouseError` on rows no valid run
-    can produce (multiple producers, reads of unproduced data, cycles) —
-    the same conditions :meth:`ProvenanceWarehouse.get_run` rejects.
-    """
-    from ..warehouse.schema import DIR_OUT
-
-    modules: Dict[str, str] = dict(steps)
-    producer: Dict[str, str] = {d: INPUT for d in user_inputs}
-    inputs: Dict[str, List[str]] = {step_id: [] for step_id in modules}
-    outputs: Dict[str, List[str]] = {step_id: [] for step_id in modules}
-    for step_id, data_id, direction in io_rows:
-        if step_id not in modules:
-            raise WarehouseError(
-                "io row (%r, %r) references an undeclared step" % (step_id, data_id)
-            )
-        if direction == DIR_OUT:
-            if data_id in producer and producer[data_id] != step_id:
-                raise WarehouseError(
-                    "data %r written by both %r and %r"
-                    % (data_id, producer[data_id], step_id)
-                )
-            producer[data_id] = step_id
-            outputs[step_id].append(data_id)
-        else:
-            inputs[step_id].append(data_id)
-
-    closure = LineageClosure(run_id=run_id, modules=modules)
-    for step_id in modules:
-        closure.step_inputs[step_id] = tuple(sorted(set(inputs[step_id])))
-
-    empty: FrozenSet[str] = frozenset()
-    for data_id in user_inputs:
-        closure.lineage_steps[data_id] = empty
-        closure.lineage_inputs[data_id] = frozenset([data_id])
-
-    # Kahn topological order over steps: a step waits for the producers of
-    # its inputs.  ``indegree`` counts distinct upstream steps.
-    upstream: Dict[str, Set[str]] = {}
-    downstream: Dict[str, Set[str]] = {s: set() for s in modules}
-    for step_id in modules:
-        sources: Set[str] = set()
-        for data_id in closure.step_inputs[step_id]:
-            source = producer.get(data_id)
-            if source is None:
-                raise WarehouseError(
-                    "step %r read %r which nothing produced" % (step_id, data_id)
-                )
-            if source != INPUT and source != step_id:
-                sources.add(source)
-        upstream[step_id] = sources
-        for source in sources:
-            downstream[source].add(step_id)
-
-    ready: Deque[str] = deque(
-        sorted(s for s in modules if not upstream[s])
-    )
-    processed = 0
-    while ready:
-        step_id = ready.popleft()
-        processed += 1
-        ancestor_sets = []
-        input_sets = []
-        for data_id in closure.step_inputs[step_id]:
-            ancestor_sets.append(closure.lineage_steps[data_id])
-            input_sets.append(closure.lineage_inputs[data_id])
-        steps_here = frozenset([step_id]).union(*ancestor_sets) \
-            if ancestor_sets else frozenset([step_id])
-        inputs_here = frozenset().union(*input_sets) if input_sets else empty
-        for data_id in outputs[step_id]:
-            closure.lineage_steps[data_id] = steps_here
-            closure.lineage_inputs[data_id] = inputs_here
-        for successor in sorted(downstream[step_id]):
-            upstream[successor].discard(step_id)
-            if not upstream[successor]:
-                ready.append(successor)
-    if processed != len(modules):
-        raise WarehouseError(
-            "run %r has a cyclic io dependency; cannot close its lineage"
-            % run_id
-        )
-    return closure
-
-
-def compute_lineage_closure(
-    warehouse: "ProvenanceWarehouse", run_id: str
-) -> LineageClosure:
-    """Compute a stored run's lineage closure from its warehouse rows."""
-    return closure_from_rows(
-        run_id,
-        warehouse.steps_of_run(run_id),
-        warehouse.io_rows(run_id),
-        sorted(warehouse.user_inputs(run_id)),
-    )
-
-
-def closure_delta_rows(
-    run_id: str,
-    new_steps: Sequence[Tuple[str, str]],
-    new_io_rows: Sequence[Tuple[str, str, str]],
-    new_user_inputs: Sequence[str],
-    ancestor_lookup: Callable[[str], ProvenanceResult],
-) -> List[Tuple[str, str, str]]:
-    """Closure rows for one streaming epoch's *new* data objects only.
-
-    The streaming delta path: a provenance run grows append-only and each
-    data object has a unique producer, so a committed epoch never changes
-    an existing object's ancestor set — it only *adds* objects whose rows
-    can be derived from the epoch's delta subgraph plus the already-indexed
-    closures of the data it reads across the epoch boundary
-    (``ancestor_lookup``, typically
-    ``lambda d: warehouse.lineage_lookup(run_id, d)``).
-
-    One Kahn pass over the epoch's new steps, exactly mirroring
-    :func:`closure_from_rows` but seeded at the boundary: a read of
-    prior-epoch data pulls that object's full ``(step, data_in)`` row set
-    and lineage user inputs out of the index in a single lookup, after
-    which the frontier propagates forward without ever touching old rows.
-    Returns the sorted ``(data_id, step_id, data_in)`` /
-    ``(data_id, INPUT_MARKER, user_input)`` rows to append via
-    :meth:`~repro.warehouse.base.ProvenanceWarehouse.extend_lineage_index`.
-
-    Raises :class:`~repro.core.errors.WarehouseError` when the epoch is
-    not frontier-shaped — an io row referencing a step declared in an
-    earlier epoch (its input set may still be growing), multiple
-    producers, or a cycle — and lets ``ancestor_lookup`` errors propagate;
-    the streaming ingestor treats either as the signal to fall back to a
-    full rebuild (the ``stream.rebuild`` counter).
-    """
-    from ..warehouse.schema import DIR_OUT
-
-    modules: Dict[str, str] = dict(new_steps)
-    producer: Dict[str, str] = {d: INPUT for d in new_user_inputs}
-    inputs: Dict[str, List[str]] = {step_id: [] for step_id in modules}
-    outputs: Dict[str, List[str]] = {step_id: [] for step_id in modules}
-    for step_id, data_id, direction in new_io_rows:
-        if step_id not in modules:
-            raise WarehouseError(
-                "epoch io row (%r, %r) references a step declared in an"
-                " earlier epoch; the delta is not frontier-shaped"
-                % (step_id, data_id)
-            )
-        if direction == DIR_OUT:
-            if data_id in producer and producer[data_id] != step_id:
-                raise WarehouseError(
-                    "data %r written by both %r and %r"
-                    % (data_id, producer[data_id], step_id)
-                )
-            producer[data_id] = step_id
-            outputs[step_id].append(data_id)
-        else:
-            inputs[step_id].append(data_id)
-    step_inputs = {s: tuple(sorted(set(inputs[s]))) for s in modules}
-
-    # Ancestor (step, data_in) pairs and lineage user inputs per object;
-    # seeded from the epoch's user inputs and, lazily, from the index for
-    # data flowing in across the epoch boundary.
-    pairs: Dict[str, FrozenSet[Tuple[str, str]]] = {}
-    lineage_inputs: Dict[str, FrozenSet[str]] = {}
-    for data_id in new_user_inputs:
-        pairs[data_id] = frozenset()
-        lineage_inputs[data_id] = frozenset([data_id])
-
-    def resolve_boundary(data_id: str) -> None:
-        if data_id in pairs:
-            return
-        prior = ancestor_lookup(data_id)
-        pairs[data_id] = frozenset(
-            (row.step_id, row.data_in) for row in prior.rows
-        )
-        lineage_inputs[data_id] = frozenset(prior.user_inputs)
-
-    upstream: Dict[str, Set[str]] = {}
-    downstream: Dict[str, Set[str]] = {s: set() for s in modules}
-    for step_id in modules:
-        sources: Set[str] = set()
-        for data_id in step_inputs[step_id]:
-            source = producer.get(data_id)
-            if source is None:
-                resolve_boundary(data_id)
-            elif source != INPUT and source != step_id:
-                sources.add(source)
-        upstream[step_id] = sources
-        for source in sources:
-            downstream[source].add(step_id)
-
-    ready: Deque[str] = deque(sorted(s for s in modules if not upstream[s]))
-    processed = 0
-    while ready:
-        step_id = ready.popleft()
-        processed += 1
-        own = frozenset((step_id, d) for d in step_inputs[step_id])
-        pairs_here = own.union(
-            *(pairs[d] for d in step_inputs[step_id])
-        )
-        input_sets = [lineage_inputs[d] for d in step_inputs[step_id]]
-        inputs_here = (
-            frozenset().union(*input_sets) if input_sets else frozenset()
-        )
-        for data_id in outputs[step_id]:
-            pairs[data_id] = pairs_here
-            lineage_inputs[data_id] = inputs_here
-        for successor in sorted(downstream[step_id]):
-            upstream[successor].discard(step_id)
-            if not upstream[successor]:
-                ready.append(successor)
-    if processed != len(modules):
-        raise WarehouseError(
-            "epoch delta of run %r has a cyclic io dependency" % run_id
-        )
-
-    rows: Set[Tuple[str, str, str]] = set()
-    new_data = set(new_user_inputs)
-    for step_id in modules:
-        new_data.update(outputs[step_id])
-    for data_id in new_data:
-        for step_id, data_in in pairs[data_id]:
-            rows.add((data_id, step_id, data_in))
-        for user_input in lineage_inputs[data_id]:
-            rows.add((data_id, INPUT_MARKER, user_input))
-    return sorted(rows)
-
-
-def closure_table_rows(
-    run_id: str,
-    steps: Sequence[Tuple[str, str]],
-    io_rows: Sequence[Tuple[str, str, str]],
-    user_inputs: Sequence[str],
-) -> Set[Tuple[str, str, str]]:
-    """The relational rows a fresh closure of these run rows would hold.
-
-    Used by the warehouse lint rule ``WH038`` to detect a stale index:
-    whatever a backend stores must equal this set exactly.
-    """
-    return set(
-        closure_from_rows(run_id, steps, io_rows, user_inputs).iter_table_rows()
-    )
 
 
 def project_closure(
@@ -392,7 +35,7 @@ def project_closure(
     """Deep provenance under a view, projected from UAdmin closures.
 
     ``admin_lookup`` must return the UAdmin deep provenance of a data
-    object (typically a memoised indexed lookup).  The projection folds
+    object (typically a memoised label lookup).  The projection folds
     whole admin closures into the induced run: every ancestor step maps to
     its virtual step, and — because composite executions can pull in data
     that is *not* in the target's admin lineage (a merged step's other
@@ -422,7 +65,7 @@ def project_closure(
             continue
         if virtual_producer in reached:
             continue
-        # One indexed lookup covers the whole admin lineage of ``current``;
+        # One lookup covers the whole admin lineage of ``current``;
         # every ancestor's virtual step joins in a single stroke.
         admin = admin_lookup(current)
         fresh = {composite_run.group_of(s) for s in admin.steps()}

@@ -1,9 +1,8 @@
 """Compact reachability labels: deep provenance without materialised pairs.
 
-The lineage closure of :mod:`repro.provenance.index` answers deep
-provenance in one range scan, but it stores O(reachable-pairs) rows per
-run — quadratic on deep chains, which is exactly what lint rule ``WH042``
-warns about.  Bao & Davidson's *Labeling Workflow Views with Fine-Grained
+A materialised lineage closure answers deep provenance in one range scan,
+but it stores O(reachable-pairs) rows per run — quadratic on deep chains.
+Bao & Davidson's *Labeling Workflow Views with Fine-Grained
 Dependencies* shows the fix for this graph class: give every node a
 compact label such that reachability is decided from the labels alone,
 and the index shrinks from O(V·E) rows to O(V).
@@ -26,13 +25,8 @@ line of work over the **step DAG** of one run:
 One label row per step, computed in one topological pass
 (:func:`labels_from_rows`), persisted by both warehouse backends
 (``lineage_labels`` table in SQLite, a frozen :class:`LineageLabels` in
-memory) and served through ``label_lookup`` — the storage-compact twin of
-the closure index behind the reasoner's ``strategy="labeled"``.
-
-:func:`predict_closure_rows` — the static row-count bound ``WH042``
-applies — also lives here so the lint rule and the reasoner's
-``strategy="auto"`` heuristic (labeled when the predicted closure blows
-the budget, indexed otherwise) share one estimator.
+memory) and served through ``label_lookup`` — the index behind the
+reasoner's ``strategy="labeled"``.
 """
 
 from __future__ import annotations
@@ -162,7 +156,7 @@ class LineageLabels:
         return frozenset(seen)
 
     # ------------------------------------------------------------------
-    # Deep-provenance answers (parity with the closure index)
+    # Deep-provenance answers (parity with the recursive closure)
     # ------------------------------------------------------------------
 
     def data_ids(self) -> List[str]:
@@ -201,8 +195,8 @@ class LineageLabels:
     def result_for(self, data_id: str) -> ProvenanceResult:
         """Materialise the deep provenance of one object as a query answer.
 
-        Row-identical to what ``lineage_lookup`` serves from the closure
-        index: one row per (ancestor step, that step's input) pair.
+        Row-identical to what ``admin_deep_provenance`` computes by
+        recursion: one row per (ancestor step, that step's input) pair.
         """
         steps = self.lineage_steps_of(data_id)
         result = ProvenanceResult(target=data_id, view_name="UAdmin")
@@ -254,12 +248,9 @@ def labels_from_rows(
 ) -> LineageLabels:
     """Compute the reachability labels of one run from its relational rows.
 
-    One topological pass, same input validation as
-    :func:`~repro.provenance.index.closure_from_rows` — rows no valid run
-    can produce (multiple producers, reads of unproduced data, cycles)
-    raise :class:`~repro.core.errors.WarehouseError` with the same
-    messages, so callers can swap strategies without changing their error
-    handling.
+    One topological pass.  Rows no valid run can produce (multiple
+    producers, reads of unproduced data, cycles) raise
+    :class:`~repro.core.errors.WarehouseError`.
     """
     from ..warehouse.schema import DIR_OUT
 
@@ -517,72 +508,4 @@ def label_table_rows(
     """
     return set(
         labels_from_rows(run_id, steps, io_rows, user_inputs).iter_table_rows()
-    )
-
-
-def predict_closure_rows(
-    steps: Sequence[Tuple[str, str]],
-    io_rows: Sequence[Tuple[str, str, str]],
-    user_inputs: Sequence[str],
-) -> Optional[int]:
-    """Upper-bound the lineage-closure row count without computing it.
-
-    Propagates, in topological order, a bound on each step's reachable
-    ancestor-set size — ``ub(s) = 1 + sum(ub(parents))``, capped at the
-    run's step count — then charges every produced data object its
-    producer's bound.  A true upper bound on what
-    ``build_lineage_index`` would store, cheap enough for ingestion time.
-
-    Shared by lint rule ``WH042`` and the reasoner's ``strategy="auto"``
-    heuristic.  Returns ``None`` when the rows do not topologically sort
-    (cycles — reported by other rules).
-    """
-    if not steps:
-        return 0
-    step_ids = {step_id for step_id, _module in steps}
-    producer: Dict[str, str] = {}
-    consumers: Dict[str, List[str]] = {}
-    for step_id, data_id, direction in io_rows:
-        if step_id not in step_ids:
-            continue  # dangling row: WH032 reports it
-        if direction == "out":
-            producer.setdefault(data_id, step_id)
-        else:
-            consumers.setdefault(data_id, []).append(step_id)
-
-    parents: Dict[str, Set[str]] = {step_id: set() for step_id in step_ids}
-    children: Dict[str, Set[str]] = {step_id: set() for step_id in step_ids}
-    inputs = set(user_inputs)
-    for data_id, readers in consumers.items():
-        writer = producer.get(data_id)
-        if writer is None or data_id in inputs:
-            continue
-        for reader in readers:
-            if reader != writer:
-                parents[reader].add(writer)
-                children[writer].add(reader)
-
-    # Kahn topological sweep; a leftover step means a cycle -> None.
-    pending = {step_id: len(parents[step_id]) for step_id in step_ids}
-    frontier = [step_id for step_id, count in pending.items() if count == 0]
-    cap = len(step_ids)
-    bound: Dict[str, int] = {}
-    ordered = 0
-    while frontier:
-        step_id = frontier.pop()
-        ordered += 1
-        bound[step_id] = min(
-            cap, 1 + sum(bound[parent] for parent in parents[step_id])
-        )
-        for child in children[step_id]:
-            pending[child] -= 1
-            if pending[child] == 0:
-                frontier.append(child)
-    if ordered != len(step_ids):
-        return None
-
-    return sum(
-        bound.get(step_id, 1)
-        for data_id, step_id in producer.items()
-        if data_id not in inputs
     )

@@ -13,19 +13,13 @@ than the initial query (avg 13 ms vs up to seconds).  The
   switching the user view re-traverses only in-memory state;
 * ``strategy="uncached"`` disables all memoisation, giving the naive
   baseline the ablation benchmark compares against;
-* ``strategy="indexed"`` goes one step further than the paper: the UAdmin
-  closure is materialised *in the warehouse* (the lineage-closure index of
-  :mod:`repro.provenance.index`), built lazily on a run's first query and
-  persisted, so even a cold process answers deep provenance with an
-  indexed range lookup instead of recursion — and view-level answers are
-  projected from those lookups through the cached composite structure;
-* ``strategy="labeled"`` keeps the indexed strategy's query shape but
-  serves UAdmin closures from the compact reachability labels of
-  :mod:`repro.provenance.labels` — O(V) stored rows per run instead of the
-  closure's O(reachable-pairs), per Bao & Davidson's labeling schemes;
-* ``strategy="auto"`` picks per run: labeled when the predicted closure
-  row count (lint rule ``WH042``'s estimator) exceeds the materialisation
-  budget, indexed otherwise.
+* ``strategy="labeled"`` goes one step further than the paper: UAdmin
+  closures are served from the compact reachability labels of
+  :mod:`repro.provenance.labels` — O(V) rows per run, per Bao & Davidson's
+  labeling schemes — built lazily on a run's first query and persisted in
+  the warehouse, so even a cold process answers deep provenance without
+  recursion; view-level answers are projected from those lookups through
+  the cached composite structure (:func:`~repro.provenance.index.project_closure`).
 
 All memoisation lives in bounded LRU caches
 (:class:`~repro.obs.cache.BoundedCache`): a long-lived reasoner serving
@@ -49,11 +43,10 @@ from ..obs import BoundedCache, get_registry
 from ..run.run import WorkflowRun
 from ..warehouse.base import ProvenanceWarehouse
 from .index import project_closure
-from .labels import predict_closure_rows
 from .queries import deep_provenance, immediate_provenance, reverse_provenance
 from .result import ProvenanceResult, ReverseProvenanceResult
 
-_STRATEGIES = ("cached", "uncached", "indexed", "labeled", "auto")
+_STRATEGIES = ("cached", "uncached", "labeled")
 
 #: Default capacities: generous for one service process, but bounded.
 DEFAULT_RUN_CACHE_SIZE = 256
@@ -71,23 +64,14 @@ class ProvenanceReasoner:
     strategy:
         ``"cached"`` (default) memoises materialised runs, composite-run
         structures and UAdmin closures; ``"uncached"`` recomputes
-        everything on each query; ``"indexed"`` memoises like ``cached``
-        *and* serves UAdmin closures from the warehouse's materialised
-        lineage index, building it (once, persistently) on a run's first
-        query; ``"labeled"`` does the same from the compact reachability
-        labels (``build_label_index`` / ``label_lookup``); ``"auto"``
-        resolves to labeled or indexed per run, by the predicted closure
-        row count against ``closure_row_threshold``.
+        everything on each query; ``"labeled"`` memoises like ``cached``
+        *and* serves UAdmin closures from the warehouse's compact
+        reachability labels (``build_label_index`` / ``label_lookup``),
+        building them (once, persistently) on a run's first query.
     run_cache_size, composite_cache_size, closure_cache_size:
         LRU capacities of the three caches (runs, per-view composite
         structures, UAdmin closures).  Evicting a run invalidates its
         dependent composite and closure entries.
-    closure_row_threshold:
-        The ``strategy="auto"`` budget: a run whose predicted closure
-        exceeds this many rows is served from labels.  ``None`` (default)
-        uses lint rule ``WH042``'s
-        :data:`~repro.lint.rules_warehouse.DEFAULT_CLOSURE_ROW_THRESHOLD`,
-        so the reasoner switches exactly where the linter starts warning.
     """
 
     def __init__(
@@ -97,7 +81,6 @@ class ProvenanceReasoner:
         run_cache_size: int = DEFAULT_RUN_CACHE_SIZE,
         composite_cache_size: int = DEFAULT_COMPOSITE_CACHE_SIZE,
         closure_cache_size: int = DEFAULT_CLOSURE_CACHE_SIZE,
-        closure_row_threshold: Optional[int] = None,
     ) -> None:
         if strategy not in _STRATEGIES:
             raise QueryError(
@@ -121,15 +104,9 @@ class ProvenanceReasoner:
         # A run leaving the run cache (eviction or explicit invalidation)
         # takes its derived state with it.
         self._run_cache.add_invalidation_hook(self._on_run_removed)
-        # Runs whose warehouse lineage index this reasoner has verified,
-        # so the indexed strategy checks/builds at most once per run.
-        self._indexed_runs: Set[str] = set()
-        # Same memo for the label index (labeled/auto strategies).
+        # Runs whose warehouse label index this reasoner has verified, so
+        # the labeled strategy checks/builds at most once per run.
         self._labeled_runs: Set[str] = set()
-        # strategy="auto": the per-run labeled/indexed decision, memoised
-        # so the row-count prediction runs once per run per reasoner.
-        self.closure_row_threshold = closure_row_threshold
-        self._auto_choice: Dict[str, str] = {}
         # Callables fired (with the run id) by invalidate_run, so layers
         # holding caches derived from this reasoner's answers — e.g. the
         # serve layer's per-view result cache — drop theirs in the same
@@ -149,16 +126,14 @@ class ProvenanceReasoner:
     def clear_cache(self) -> None:
         """Drop all memoised state and zero the cache counters.
 
-        The warehouse's persistent lineage index survives — only this
-        reasoner's in-process memo of which runs are indexed is forgotten
-        (re-verified, cheaply, on the next indexed query).
+        The warehouse's persistent label index survives — only this
+        reasoner's in-process memo of which runs are labeled is forgotten
+        (re-verified, cheaply, on the next labeled query).
         """
         for cache in self._caches():
             cache.clear()
             cache.reset_stats()
-        self._indexed_runs.clear()
         self._labeled_runs.clear()
-        self._auto_choice.clear()
 
     def add_invalidation_listener(self, listener: Callable[[str], None]) -> None:
         """Register ``listener(run_id)`` to be fired by :meth:`invalidate_run`."""
@@ -178,9 +153,9 @@ class ProvenanceReasoner:
 
         Call after the underlying warehouse data for ``run_id`` changes —
         e.g. new annotations or a re-execution stored under the same id —
-        so no stale derived state survives.  The run's *persistent* lineage
+        so no stale derived state survives.  The run's *persistent* label
         index is dropped too: it was derived from the rows that changed.
-        The next indexed query rebuilds it from the fresh rows.
+        The next labeled query rebuilds it from the fresh rows.
 
         The run's generation is bumped on every cache **first**, so a
         concurrent ``get_or_build`` whose factory read the pre-invalidation
@@ -194,13 +169,7 @@ class ProvenanceReasoner:
         if not self._run_cache.invalidate(run_id):
             # The run itself was not cached; derived state may still be.
             self._on_run_removed(run_id, None, "invalidated")  # type: ignore[arg-type]
-        self._indexed_runs.discard(run_id)
         self._labeled_runs.discard(run_id)
-        self._auto_choice.pop(run_id, None)
-        try:
-            self.warehouse.drop_lineage_index(run_id)
-        except UnknownEntityError:
-            pass  # the run itself is gone; nothing left to drop
         try:
             self.warehouse.drop_label_index(run_id)
         except UnknownEntityError:
@@ -214,12 +183,11 @@ class ProvenanceReasoner:
         The streaming counterpart of :meth:`invalidate_run`: a committed
         epoch *extended* the run's rows — it did not corrupt them — so
         the in-process memos (run, composites, closures) are stale and
-        must go, but the warehouse's persistent lineage/label indexes
-        were already advanced by the streaming ingestor's delta path and
-        MUST survive.  Generations are bumped first for the same
-        stale-publish race :meth:`invalidate_run` documents; the
-        ``_indexed_runs`` / ``_labeled_runs`` memos are kept because the
-        persistent indexes are still valid.  Registered invalidation
+        must go, but the warehouse's persistent label index was already
+        advanced by the streaming ingestor's delta path and MUST survive.
+        Generations are bumped first for the same stale-publish race
+        :meth:`invalidate_run` documents; the ``_labeled_runs`` memo is
+        kept because the persistent index is still valid.  Registered invalidation
         listeners fire last so the serve layer drops its derived results
         for the run in the same stroke.
         """
@@ -227,7 +195,6 @@ class ProvenanceReasoner:
             cache.bump_generation(run_id)
         if not self._run_cache.invalidate(run_id):
             self._on_run_removed(run_id, None, "refreshed")  # type: ignore[arg-type]
-        self._auto_choice.pop(run_id, None)
         get_registry().counter("reasoner.refreshes").increment()
         for listener in list(self._invalidation_listeners):
             listener(run_id)
@@ -267,19 +234,11 @@ class ProvenanceReasoner:
 
         This is the recursive-SQL (or BFS) query whose cost dominates the
         paper's response-time experiment; under the cached strategy it runs
-        once per (run, data) pair.  Under the indexed strategy it is a
-        range lookup in the materialised lineage index; under the labeled
-        strategy an upward traversal over the compact reachability labels
-        (both built on the run's first query, persisted in the warehouse).
+        once per (run, data) pair.  Under the labeled strategy it is an
+        upward traversal over the compact reachability labels (built on
+        the run's first query, persisted in the warehouse).
         """
-        strategy = self._resolve_strategy(run_id)
-        if strategy == "indexed":
-            self._ensure_index(run_id)
-            return self._admin_closure_cache.get_or_build(
-                (run_id, data_id),
-                lambda: self._indexed_lookup(run_id, data_id),
-                scope=run_id,
-            )
+        strategy = self.strategy
         if strategy == "labeled":
             self._ensure_labels(run_id)
             return self._admin_closure_cache.get_or_build(
@@ -294,49 +253,6 @@ class ProvenanceReasoner:
             lambda: self._timed_closure(run_id, data_id),
             scope=run_id,
         )
-
-    def _resolve_strategy(self, run_id: str) -> str:
-        """The concrete strategy serving this run (settles ``"auto"``).
-
-        ``auto`` decides per run, once: labeled when ``WH042``'s predicted
-        closure row count exceeds the budget (materialising the closure is
-        exactly what the linter warns against), indexed otherwise.  Runs
-        whose rows do not topologically sort fall through to indexed — the
-        build will report the corruption either way.
-        """
-        if self.strategy != "auto":
-            return self.strategy
-        choice = self._auto_choice.get(run_id)
-        if choice is None:
-            predicted = predict_closure_rows(
-                self.warehouse.steps_of_run(run_id),
-                self.warehouse.io_rows(run_id),
-                sorted(self.warehouse.user_inputs(run_id)),
-            )
-            threshold = self._auto_threshold()
-            choice = (
-                "labeled"
-                if predicted is not None and predicted > threshold
-                else "indexed"
-            )
-            self._auto_choice[run_id] = choice
-        return choice
-
-    def _auto_threshold(self) -> int:
-        if self.closure_row_threshold is not None:
-            return self.closure_row_threshold
-        # Late import: repro.lint pulls in the warehouse layer at import
-        # time, so binding it eagerly here would cycle the import graph.
-        from ..lint.rules_warehouse import DEFAULT_CLOSURE_ROW_THRESHOLD
-
-        return DEFAULT_CLOSURE_ROW_THRESHOLD
-
-    def _ensure_index(self, run_id: str) -> None:
-        """Build (or verify, once per reasoner) the run's lineage index."""
-        if run_id in self._indexed_runs:
-            return
-        self.warehouse.build_lineage_index(run_id)
-        self._indexed_runs.add(run_id)
 
     def _ensure_labels(self, run_id: str) -> None:
         """Build (or verify, once per reasoner) the run's label index."""
@@ -353,15 +269,8 @@ class ProvenanceReasoner:
         ``warm()``) runs this on the owning thread before fanning queries
         out to workers.  A no-op for the cached/uncached strategies.
         """
-        strategy = self._resolve_strategy(run_id)
-        if strategy == "indexed":
-            self._ensure_index(run_id)
-        elif strategy == "labeled":
+        if self.strategy == "labeled":
             self._ensure_labels(run_id)
-
-    def _indexed_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
-        with get_registry().time("index.lookup"):
-            return self.warehouse.lineage_lookup(run_id, data_id)
 
     def _labeled_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
         with get_registry().time("labels.lookup"):
@@ -379,7 +288,7 @@ class ProvenanceReasoner:
             return self.admin_deep(run_id, data_id)
         with get_registry().time("reasoner.view_switch"):
             composite = self.composite_run(run_id, view)
-            if self._resolve_strategy(run_id) in ("indexed", "labeled"):
+            if self.strategy == "labeled":
                 return project_closure(
                     composite,
                     lambda d: self.admin_deep(run_id, d),
@@ -395,8 +304,8 @@ class ProvenanceReasoner:
     ) -> Dict[str, ProvenanceResult]:
         """Deep provenance of many objects of one run, batched.
 
-        Per-query setup is paid once for the whole batch: the lineage (or
-        label) index is verified/built once and the composite structure is
+        Per-query setup is paid once for the whole batch: the label index
+        is verified/built once and the composite structure is
         materialised once per call even under the uncached strategy — the
         batch is one query, not N.  Duplicate data ids are answered once:
         the batch is deduplicated (first-occurrence order) before fan-out,
@@ -405,10 +314,8 @@ class ProvenanceReasoner:
         """
         deduped = list(dict.fromkeys(data_ids))
         results: Dict[str, ProvenanceResult] = {}
-        strategy = self._resolve_strategy(run_id)
-        if strategy == "indexed":
-            self._ensure_index(run_id)
-        elif strategy == "labeled":
+        labeled = self.strategy == "labeled"
+        if labeled:
             self._ensure_labels(run_id)
         if view is None:
             for data_id in deduped:
@@ -417,7 +324,7 @@ class ProvenanceReasoner:
         composite = self.composite_run(run_id, view)
         for data_id in deduped:
             with get_registry().time("reasoner.view_switch"):
-                if strategy in ("indexed", "labeled"):
+                if labeled:
                     results[data_id] = project_closure(
                         composite,
                         lambda d: self.admin_deep(run_id, d),

@@ -18,11 +18,10 @@ One service owns:
   slow in-flight build can never resurrect a stale answer.
 
 Thread-affinity contract: workers only *read*.  Anything that writes —
-building a lineage or label index, dropping one during invalidation — must
-happen on the thread that created the warehouse.  :meth:`warm` exists
-precisely for that: call it from the owner thread before :meth:`start`
-when using the ``indexed``, ``labeled`` or ``auto`` strategies, so workers
-find the index already built.
+building a label index, dropping one during invalidation — must happen on
+the thread that created the warehouse.  :meth:`warm` exists precisely for
+that: call it from the owner thread before :meth:`start` when using the
+``labeled`` strategy, so workers find the labels already built.
 """
 
 from __future__ import annotations
@@ -289,10 +288,9 @@ class QueryService:
     ) -> None:
         """Pre-materialise runs (and optionally composites) for serving.
 
-        Must run on the warehouse's owner thread: under the ``indexed``,
-        ``labeled`` and ``auto`` strategies this *builds* each run's
-        persistent index (lineage closure or reachability labels), a
-        write that workers' read-only connections would refuse.  Passing
+        Must run on the warehouse's owner thread: under the ``labeled``
+        strategy this *builds* each run's persistent reachability labels,
+        a write that workers' read-only connections would refuse.  Passing
         views additionally pre-builds each ``(run, view)`` composite so
         the first concurrent burst starts hot.
         """
@@ -310,7 +308,7 @@ class QueryService:
         Delegates to the reasoner, whose listener fan-out reaches this
         service's result cache (and any other service sharing the
         reasoner).  Call from the warehouse owner thread — dropping a
-        persistent lineage or label index is a write.
+        persistent label index is a write.
         """
         self.reasoner.invalidate_run(run_id)
 
@@ -319,8 +317,8 @@ class QueryService:
 
         The streaming counterpart of :meth:`invalidate_run`: a committed
         epoch grew the run, so cached answers are stale but the
-        persistent lineage/label indexes — which the streaming ingestor
-        already advanced — survive.  Safe from any thread: nothing here
+        persistent labels — which the streaming ingestor already
+        advanced — survive.  Safe from any thread: nothing here
         writes to the warehouse.  Readers racing the refresh get either
         the previous epoch's answer or the new one, never a torn mix —
         the generation bump stops a slow in-flight build from publishing

@@ -97,7 +97,6 @@ def load_simulation(
     run_id: Optional[str] = None,
     from_log: bool = False,
     strict: bool = False,
-    index: bool = False,
 ) -> str:
     """Store one simulated execution against an already-stored spec.
 
@@ -105,8 +104,6 @@ def load_simulation(
     reconstruction path a real deployment would use); the default stores
     the run graph directly — both produce identical warehouse contents.
     ``strict=True`` rejects the artifact when the lint pass finds errors.
-    ``index=True`` materialises the run's lineage-closure index right after
-    the store (ingestion-time indexing; see :mod:`repro.provenance.index`).
     """
     linter = _linter()
     if from_log:
@@ -115,15 +112,11 @@ def load_simulation(
             "log %r" % result.log.run_id,
             strict,
         )
-        stored = warehouse.store_log(result.log, spec_id, run_id=run_id)
-    else:
-        linter.gate(
-            linter.lint_run(result.run), "run %r" % result.run.run_id, strict
-        )
-        stored = warehouse.store_run(result.run, spec_id, run_id=run_id)
-    if index:
-        warehouse.build_lineage_index(stored)
-    return stored
+        return warehouse.store_log(result.log, spec_id, run_id=run_id)
+    linter.gate(
+        linter.lint_run(result.run), "run %r" % result.run.run_id, strict
+    )
+    return warehouse.store_run(result.run, spec_id, run_id=run_id)
 
 
 def load_dataset(
@@ -131,7 +124,6 @@ def load_dataset(
     items: Iterable[Tuple[WorkflowSpec, Sequence[SimulationResult]]],
     with_standard_views: bool = True,
     strict: bool = False,
-    index: bool = False,
     parallel: Optional[int] = None,
     batch_size: Optional[int] = None,
     resume: bool = False,
@@ -141,7 +133,7 @@ def load_dataset(
 
     Run ids are qualified as ``"<spec_id>/run<N>"`` so that several
     specifications can reuse the simulator's default run naming.
-    ``strict`` and ``index`` are forwarded to every :func:`load_spec` /
+    ``strict`` is forwarded to every :func:`load_spec` /
     :func:`load_simulation` call.
 
     Passing ``parallel`` (prepare-stage worker count; ``0`` = inline) or
@@ -168,7 +160,7 @@ def load_dataset(
             jobs=parallel or 0,
             batch_size=batch_size or DEFAULT_BATCH_SIZE,
             with_standard_views=with_standard_views,
-            strict=strict, index=index,
+            strict=strict,
             resume=resume, on_error=on_error,
         )
     loaded: List[LoadedSpec] = []
@@ -182,7 +174,7 @@ def load_dataset(
             record.run_ids.append(
                 load_simulation(
                     warehouse, simulation, record.spec_id, run_id=run_id,
-                    strict=strict, index=index,
+                    strict=strict,
                 )
             )
         loaded.append(record)

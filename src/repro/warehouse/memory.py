@@ -33,7 +33,6 @@ from ..core.errors import WarehouseError
 from ..core.spec import INPUT, OUTPUT, WorkflowSpec
 from ..core.view import UserView
 from ..faults import FaultPlan
-from ..obs.metrics import get_registry
 from ..obs.retry import with_retries
 from ..provenance.result import ProvenanceResult, ProvenanceRow
 from ..run.run import WorkflowRun
@@ -43,7 +42,6 @@ from .recovery import JOURNAL_COMMITTED, JournalEntry, QuarantineRecord
 from .schema import DIR_IN, DIR_OUT
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only, avoids an import cycle
-    from ..provenance.index import LineageClosure
     from ..provenance.labels import LineageLabels
     from .pipeline import PreparedRun
 
@@ -62,11 +60,6 @@ class _RunRecord:
     final_outputs: Set[str] = field(default_factory=set)
     input_who: Dict[str, str] = field(default_factory=dict)
     annotations: Dict[str, Dict[str, str]] = field(default_factory=dict)
-    # Materialized lineage closure (None until built): data -> ancestor
-    # steps / lineage user inputs, plus the expanded row count for status.
-    lineage_steps: Optional[Dict[str, FrozenSet[str]]] = None
-    lineage_inputs: Optional[Dict[str, FrozenSet[str]]] = None
-    lineage_row_count: int = 0
     # Compact reachability labels (None until built): the frozen
     # LineageLabels structure, served as-is by label_lookup.
     labels: Optional["LineageLabels"] = None
@@ -75,9 +68,7 @@ class _RunRecord:
 class InMemoryWarehouse(ProvenanceWarehouse):
     """Dictionary-backed implementation of :class:`ProvenanceWarehouse`."""
 
-    def __init__(
-        self, auto_index: bool = False, faults: Optional[FaultPlan] = None
-    ) -> None:
+    def __init__(self, faults: Optional[FaultPlan] = None) -> None:
         #: Serializes mutations so the freshness check and the publish are
         #: atomic under concurrent writers (see module docstring).  Reads
         #: stay lock-free — CPython dict loads are atomic — so the tables
@@ -109,8 +100,6 @@ class InMemoryWarehouse(ProvenanceWarehouse):
         self._streams: Dict[str, StreamState] = guard(
             {}, self._mutate, "memory._streams", mode="w"
         )  # guarded-by: _mutate
-        #: Build the lineage-closure index of every run at ingestion time.
-        self.auto_index = auto_index
         #: Fault-injection schedule (tests only; ``None`` in production).
         self.faults = faults
 
@@ -209,8 +198,6 @@ class InMemoryWarehouse(ProvenanceWarehouse):
         with self._mutate:
             identifier = self._fresh_id(run_id, run.run_id, self._runs)
             self._runs[identifier] = record
-        if self.auto_index:
-            self.build_lineage_index(identifier)
         return identifier
 
     @with_retries()
@@ -220,9 +207,8 @@ class InMemoryWarehouse(ProvenanceWarehouse):
         Builds every :class:`_RunRecord` from the pre-shaped rows first
         (checking id freshness against one precomputed set) and only then
         publishes them into the run table, so a failing batch leaves the
-        warehouse untouched.  A prepared closure is installed directly —
-        its frozensets are shared, exactly as :meth:`_store_lineage_closure`
-        stores them.
+        warehouse untouched.  Prepared labels are installed directly, as
+        :meth:`_store_lineage_labels` stores them.
         """
         self._hit("store_many.begin")
         batch = list(prepared)
@@ -256,10 +242,6 @@ class InMemoryWarehouse(ProvenanceWarehouse):
             for data_id in record.user_inputs:
                 record.producer[data_id] = INPUT
             record.final_outputs = set(p.final_outputs)
-            if p.closure is not None:
-                record.lineage_steps = dict(p.closure.lineage_steps)
-                record.lineage_inputs = dict(p.closure.lineage_inputs)
-                record.lineage_row_count = p.closure.num_rows()
             if p.labels is not None:
                 record.labels = p.labels
             records.append((p.run_id, record))
@@ -393,9 +375,6 @@ class InMemoryWarehouse(ProvenanceWarehouse):
             final_outputs=set(old.final_outputs),
             input_who=dict(old.input_who),
             annotations=old.annotations,
-            lineage_steps=old.lineage_steps,
-            lineage_inputs=old.lineage_inputs,
-            lineage_row_count=old.lineage_row_count,
             labels=old.labels,
         )
         for step_id, module in step_rows:
@@ -548,94 +527,6 @@ class InMemoryWarehouse(ProvenanceWarehouse):
         )
 
     # ------------------------------------------------------------------
-    # Materialized lineage-closure index
-    # ------------------------------------------------------------------
-
-    def _store_lineage_closure(self, closure: "LineageClosure") -> None:
-        record = self._record(closure.run_id)
-        record.lineage_steps = dict(closure.lineage_steps)
-        record.lineage_inputs = dict(closure.lineage_inputs)
-        record.lineage_row_count = closure.num_rows()
-
-    def has_lineage_index(self, run_id: str) -> bool:
-        return self._record(run_id).lineage_steps is not None
-
-    def lineage_row_count(self, run_id: str) -> Optional[int]:
-        record = self._record(run_id)
-        if record.lineage_steps is None:
-            return None
-        return record.lineage_row_count
-
-    def drop_lineage_index(self, run_id: Optional[str] = None) -> List[str]:
-        targets = [run_id] if run_id is not None else self.list_runs()
-        dropped: List[str] = []
-        for target in targets:
-            record = self._record(target)
-            if record.lineage_steps is None:
-                continue
-            record.lineage_steps = None
-            record.lineage_inputs = None
-            record.lineage_row_count = 0
-            dropped.append(target)
-        return dropped
-
-    def lineage_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
-        record = self._record(run_id)
-        if record.lineage_steps is None or record.lineage_inputs is None:
-            raise WarehouseError("run %r has no lineage index" % run_id)
-        if data_id not in record.producer:
-            raise self._missing("data", data_id)
-        result = ProvenanceResult(target=data_id, view_name="UAdmin")
-        for step_id in sorted(record.lineage_steps[data_id]):
-            module = record.steps[step_id]
-            for data_in in sorted(record.inputs[step_id]):
-                result.rows.append(
-                    ProvenanceRow(step_id=step_id, module=module, data_in=data_in)
-                )
-        result.user_inputs = set(record.lineage_inputs[data_id])
-        return result
-
-    def lineage_rows_raw(self, run_id: str) -> Set[Tuple[str, str, str]]:
-        record = self._record(run_id)
-        rows: Set[Tuple[str, str, str]] = set()
-        if record.lineage_steps is None or record.lineage_inputs is None:
-            return rows
-        for data_id, steps in record.lineage_steps.items():
-            for step_id in steps:
-                for data_in in record.inputs[step_id]:
-                    rows.add((data_id, step_id, data_in))
-            for user_input in record.lineage_inputs[data_id]:
-                rows.add((data_id, INPUT, user_input))
-        return rows
-
-    def extend_lineage_index(
-        self, run_id: str, rows: Sequence[Tuple[str, str, str]]
-    ) -> int:
-        record = self._record(run_id)
-        if record.lineage_steps is None or record.lineage_inputs is None:
-            raise WarehouseError("run %r has no lineage index" % run_id)
-        new_steps: Dict[str, Set[str]] = {}
-        new_inputs: Dict[str, Set[str]] = {}
-        for data_id, step_id, data_in in rows:
-            if step_id == INPUT:
-                new_inputs.setdefault(data_id, set()).add(data_in)
-            else:
-                new_steps.setdefault(data_id, set()).add(step_id)
-                new_inputs.setdefault(data_id, set())
-        with self._mutate:
-            for data_id in sorted(set(new_steps) | set(new_inputs)):
-                record.lineage_steps[data_id] = frozenset(
-                    record.lineage_steps.get(data_id, frozenset())
-                    | new_steps.get(data_id, set())
-                )
-                record.lineage_inputs[data_id] = frozenset(
-                    record.lineage_inputs.get(data_id, frozenset())
-                    | new_inputs.get(data_id, set())
-                )
-            record.lineage_row_count += len(set(rows))
-        return record.lineage_row_count
-
-    # ------------------------------------------------------------------
     # Compact reachability labels
     # ------------------------------------------------------------------
 
@@ -731,17 +622,13 @@ class InMemoryWarehouse(ProvenanceWarehouse):
         return run
 
     # ------------------------------------------------------------------
-    # Recursive closure (BFS; served from the index when built)
+    # Recursive closure (BFS)
     # ------------------------------------------------------------------
 
     def admin_deep_provenance(self, run_id: str, data_id: str) -> ProvenanceResult:
         record = self._record(run_id)
         if data_id not in record.producer:
             raise self._missing("data", data_id)
-        if record.lineage_steps is not None:
-            get_registry().counter("index.hit").increment()
-            return self.lineage_lookup(run_id, data_id)
-        get_registry().counter("index.miss").increment()
         result = ProvenanceResult(target=data_id, view_name="UAdmin")
         seen_data: Set[str] = set()
         seen_steps: Set[str] = set()

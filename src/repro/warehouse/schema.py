@@ -150,34 +150,16 @@ SQLITE_DDL: Tuple[str, ...] = (
     CREATE INDEX IF NOT EXISTS annotation_by_key
         ON annotation (run_id, key, value, subject)
     """,
-    # The materialized lineage-closure index (repro.provenance.index): one
-    # row per (data object, ancestor step, that step's input) triple, plus
-    # (data object, 'input', user input) marker rows.  The primary key IS
-    # the covering index — WITHOUT ROWID clusters the rows by it, so a
-    # deep-provenance query is a single range scan.
-    """
-    CREATE TABLE IF NOT EXISTS lineage (
-        run_id  TEXT NOT NULL REFERENCES run_def(run_id),
-        data_id TEXT NOT NULL,
-        step_id TEXT NOT NULL,
-        data_in TEXT NOT NULL,
-        PRIMARY KEY (run_id, data_id, step_id, data_in)
-    ) WITHOUT ROWID
-    """,
-    # One row per indexed run: lets has/status checks avoid counting the
-    # lineage table, and distinguishes "indexed, trivially empty closure"
-    # from "never indexed".
-    """
-    CREATE TABLE IF NOT EXISTS lineage_meta (
-        run_id    TEXT PRIMARY KEY REFERENCES run_def(run_id),
-        row_count INTEGER NOT NULL
-    )
-    """,
+    # Warehouses written by older versions carried a materialised
+    # lineage-closure index; the compact labels below answer the same
+    # reachability, so opening such a file drops the leftover tables.
+    "DROP TABLE IF EXISTS lineage_meta",
+    "DROP TABLE IF EXISTS lineage",
     # The compact reachability labels (repro.provenance.labels): one row
     # per step — interval [pre, post] over the spanning forest plus the
     # tree parent and the space-joined non-tree remainder set.  O(V) rows
-    # where the lineage closure is O(V·E); WITHOUT ROWID clusters a run's
-    # labels into one range scan.
+    # where a materialised closure would be O(V·E); WITHOUT ROWID clusters
+    # a run's labels into one range scan.
     """
     CREATE TABLE IF NOT EXISTS lineage_labels (
         run_id      TEXT NOT NULL REFERENCES run_def(run_id),
@@ -230,7 +212,7 @@ SQLITE_DDL: Tuple[str, ...] = (
     # run currently being appended to.  ``epoch`` counts committed
     # appends, ``checksum`` is the cumulative run checksum *as of* that
     # epoch (what a torn append is truncated back to), ``delta_epoch``
-    # is the epoch through which the lineage/label indexes were
+    # is the epoch through which the label index was
     # incrementally maintained (lint rule WH047 reports it trailing),
     # and ``opened_at`` feeds the WH046 staleness threshold.  The row is
     # deleted by finalize_run — its presence *is* the open-run marker.
@@ -293,29 +275,6 @@ CROSS JOIN io AS io_in
 CROSS JOIN step
   ON step.run_id = :run_id
  AND step.step_id = io_out.step_id
-"""
-
-#: Indexed deep provenance: the recursive CTE collapsed to one range scan
-#: of the materialized ``lineage`` table (``:input`` is bound to the
-#: reserved ``input`` marker, which no real step id may carry).
-SQLITE_LINEAGE_LOOKUP = """
-SELECT lineage.step_id, step.module, lineage.data_in
-FROM lineage
-JOIN step
-  ON step.run_id = lineage.run_id
- AND step.step_id = lineage.step_id
-WHERE lineage.run_id = :run_id
-  AND lineage.data_id = :data_id
-  AND lineage.step_id != :input
-"""
-
-#: Companion range scan: the lineage user inputs of one data object.
-SQLITE_LINEAGE_LOOKUP_INPUTS = """
-SELECT data_in
-FROM lineage
-WHERE run_id = :run_id
-  AND data_id = :data_id
-  AND step_id = :input
 """
 
 #: Companion query: which objects in the lineage are user inputs.

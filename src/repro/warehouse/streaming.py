@@ -25,17 +25,14 @@ Protocol (one :class:`StreamingIngestor` per producer):
    truncates cleanly back to epoch ``N-1``; a crash in the last is rolled
    *forward* by checksum — :func:`~repro.warehouse.recovery.recover`
    settles both.
-3. After the epoch commits, already-materialised lineage indexes are
-   maintained **incrementally**: :func:`~repro.provenance.index.closure_delta_rows`
-   derives closure rows for the epoch's new data from the boundary
-   lookups alone, and :func:`~repro.provenance.labels.try_extend` grows
-   the reachability labels when the delta shape allows.  Either falls
-   back to a full rebuild when the epoch is not frontier-shaped — the
-   ``stream.delta`` / ``stream.rebuild`` counters record which path ran,
-   and the benchmark proves deltas dominate on canonical streams.  A
-   crash between the epoch commit and the index delta (fault site
-   ``stream.delta``) leaves the ``delta_epoch`` watermark trailing — lint
-   rule ``WH047`` flags it and recovery drops the stale indexes.
+3. After the epoch commits, already-materialised reachability labels are
+   maintained **incrementally**: :func:`~repro.provenance.labels.try_extend`
+   grows them when the delta shape allows and falls back to a full
+   rebuild when the epoch is not frontier-shaped — the ``stream.delta`` /
+   ``stream.rebuild`` counters record which path ran.  A crash between
+   the epoch commit and the label delta (fault site ``stream.delta``)
+   leaves the ``delta_epoch`` watermark trailing — lint rule ``WH047``
+   flags it and recovery drops the stale labels.
 4. :meth:`~StreamingIngestor.finalize_run` deletes the open-run row
    (fault site ``stream.finalize``), leaving rows, indexes and journal
    byte-identical to a cold batch load of the same events.
@@ -62,7 +59,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.errors import WarehouseError, ZoomError
+from ..core.errors import WarehouseError
 from ..faults import FaultPlan
 from ..faults import hit as fault_hit
 from ..obs.metrics import get_registry
@@ -96,7 +93,7 @@ def chunk_log(
     A canonical log (:func:`~repro.run.log.log_from_run`) interleaves
     whole step blocks — a start, then the step's reads, then its writes —
     between singleton user-input and final-output events.  Chunking at
-    arbitrary event counts can split a block, which forces the index
+    arbitrary event counts can split a block, which forces the label
     delta path to rebuild; this helper packs **whole blocks** greedily up
     to ``max_events`` per chunk (a block larger than the budget becomes
     its own oversized chunk), so every chunk's io rows reference only
@@ -310,9 +307,9 @@ class StreamingIngestor:
         registry.counter("stream.epochs").increment()
         registry.counter("stream.events").increment(len(batch))
 
-        # Crash window: the epoch is durably committed but the index
-        # deltas below never ran — ``delta_epoch`` trails (WH047) and
-        # recovery drops the stale indexes for lazy rebuild.
+        # Crash window: the epoch is durably committed but the label
+        # delta below never ran — ``delta_epoch`` trails (WH047) and
+        # recovery drops the stale labels for lazy rebuild.
         fault_hit(plan, "stream.delta")
         self._maintain_indexes(run_id, new_steps, new_io,
                                [d for d, _who in new_inputs])
@@ -413,13 +410,12 @@ class StreamingIngestor:
         new_io: List[Tuple[str, str, str]],
         new_user_inputs: List[str],
     ) -> None:
-        """Advance already-built lineage/label indexes past the epoch.
+        """Advance already-built reachability labels past the epoch.
 
-        Indexes that were never materialised stay unbuilt (queries build
-        lazily as usual).  The incremental paths bump ``stream.delta``;
-        a fallback full rebuild bumps ``stream.rebuild``.
+        Labels that were never materialised stay unbuilt (queries build
+        lazily as usual).  The incremental path bumps ``stream.delta``; a
+        fallback full rebuild bumps ``stream.rebuild``.
         """
-        from ..provenance.index import closure_delta_rows
         from ..provenance.labels import (
             LABELS_VERSION,
             labels_from_stored,
@@ -428,20 +424,6 @@ class StreamingIngestor:
 
         warehouse = self._warehouse
         registry = get_registry()
-        if warehouse.has_lineage_index(run_id):
-            try:
-                with registry.time("stream.index.delta"):
-                    rows = closure_delta_rows(
-                        run_id, new_steps, new_io, new_user_inputs,
-                        lambda d: warehouse.lineage_lookup(run_id, d),
-                    )
-                    warehouse.extend_lineage_index(run_id, rows)
-            except ZoomError:
-                with registry.time("stream.index.rebuild"):
-                    warehouse.build_lineage_index(run_id, rebuild=True)
-                registry.counter("stream.rebuild").increment()
-            else:
-                registry.counter("stream.delta").increment()
         if warehouse.has_label_index(run_id):
             stored = labels_from_stored(
                 run_id,

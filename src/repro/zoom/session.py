@@ -119,12 +119,11 @@ class Session:
     user:
         Display name of the user (view names derive from it).
     strategy:
-        Reasoner caching strategy — ``"cached"``, ``"uncached"``,
-        ``"indexed"``, ``"labeled"`` or ``"auto"`` (see
+        Reasoner caching strategy — ``"cached"``, ``"uncached"`` or
+        ``"labeled"`` (see
         :class:`~repro.provenance.reasoner.ProvenanceReasoner`; the
-        indexed strategy serves deep provenance from the warehouse's
-        materialised lineage-closure index, the labeled one from the
-        compact reachability labels, and auto picks per run).
+        labeled strategy serves deep provenance from the warehouse's
+        compact reachability labels).
     view_cache_size:
         LRU capacity of the per-relevant-set view memo (the cache that
         makes undo and back-and-forth exploration free).
@@ -280,7 +279,7 @@ class Session:
         """Drop every cache layer's state for one run.
 
         Fans out through the reasoner (runs, composites, closures, the
-        persistent lineage index) and from there to any registered
+        persistent label index) and from there to any registered
         invalidation listener — a :class:`~repro.serve.QueryService`
         sharing this session's reasoner drops its per-view result cache in
         the same stroke.  Call after the warehouse rows of ``run_id``
@@ -291,9 +290,9 @@ class Session:
     def refresh_run(self, run_id: str) -> None:
         """Flip one run's cached state after a streamed epoch extended it.
 
-        Unlike :meth:`invalidate_run`, the run's persistent lineage and
-        label indexes survive — the streaming ingestor already advanced
-        them incrementally; only the in-process memos go stale.
+        Unlike :meth:`invalidate_run`, the run's persistent label index
+        survives — the streaming ingestor already advanced it
+        incrementally; only the in-process memos go stale.
         """
         self.reasoner.refresh_run(run_id)
 
@@ -319,25 +318,13 @@ class Session:
 
         return QueryService(self.warehouse, reasoner=self.reasoner, **kwargs)
 
-    def build_index(
-        self, run_id: str, rebuild: bool = False, kind: str = "closure"
-    ) -> int:
-        """Materialise a run's lineage index in the warehouse.
+    def build_index(self, run_id: str, rebuild: bool = False) -> int:
+        """Materialise a run's reachability labels in the warehouse.
 
-        ``kind="closure"`` (default) builds the pairwise lineage-closure
-        index; ``kind="labeled"`` the compact reachability labels.
-        Returns the number of rows stored.  Any strategy benefits from
-        the closure (the warehouse serves :meth:`admin_deep_provenance`
-        from it once built); the ``indexed``/``labeled`` strategies would
-        otherwise build their index lazily on the run's first query.
+        Returns the number of label rows stored.  The ``labeled`` strategy
+        would otherwise build them lazily on the run's first query.
         """
-        if kind == "labeled":
-            return self.warehouse.build_label_index(run_id, rebuild=rebuild)
-        if kind != "closure":
-            raise ValueError(
-                "kind must be 'closure' or 'labeled', not %r" % kind
-            )
-        return self.warehouse.build_lineage_index(run_id, rebuild=rebuild)
+        return self.warehouse.build_label_index(run_id, rebuild=rebuild)
 
     # ------------------------------------------------------------------
     # Observability

@@ -1,293 +1,17 @@
-"""The materialised lineage-closure index: build, serve, maintain, observe.
+"""SQLite query plans of the lineage queries.
 
-Covers the full lifecycle on both backends — building (eager, lazy and at
-ingestion time), serving deep provenance from the index with parity against
-the recursive reference, incremental maintenance (drop, delete, re-ingest,
-reasoner invalidation), the ``index.hit``/``index.miss`` observability
-counters, the WH038 staleness lint rule, the SQLite query plans (every hot
-lookup must be an index search, never a table scan), and the ``zoom index``
-command-line surface.
+Deep provenance is the recursive closure over the ``io`` relation; these
+checks run ``EXPLAIN QUERY PLAN`` over it and over the point lookups the
+warehouse issues, so every hot lookup stays an index search, never a
+table scan.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.composite import CompositeRun
-from repro.core.errors import UnknownEntityError, WarehouseError
-from repro.core.view import admin_view
-from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.provenance.index import compute_lineage_closure
-from repro.provenance.queries import deep_provenance
-from repro.provenance.reasoner import ProvenanceReasoner
-from repro.warehouse.loader import load_simulation
-from repro.warehouse.memory import InMemoryWarehouse
 from repro.warehouse.sqlite import SqliteWarehouse
-from repro.workloads.phylogenomic import (
-    joe_view,
-    phylogenomic_run,
-    phylogenomic_spec,
-)
-
-_BACKENDS = {"memory": InMemoryWarehouse, "sqlite": SqliteWarehouse}
-
-
-@pytest.fixture(params=sorted(_BACKENDS))
-def backend(request):
-    return request.param
-
-
-@pytest.fixture
-def warehouse(backend):
-    if backend == "memory":
-        yield InMemoryWarehouse()
-    else:
-        with SqliteWarehouse() as built:
-            yield built
-
-
-@pytest.fixture
-def loaded(warehouse):
-    """A warehouse preloaded with the paper example; returns the ids."""
-    spec = phylogenomic_spec()
-    run = phylogenomic_run(spec)
-    spec_id = warehouse.store_spec(spec)
-    run_id = warehouse.store_run(run, spec_id)
-    return warehouse, spec, run, spec_id, run_id
-
-
-@pytest.fixture
-def registry():
-    """A fresh metrics registry installed for the duration of one test."""
-    fresh = MetricsRegistry()
-    previous = set_registry(fresh)
-    yield fresh
-    set_registry(previous)
-
-
-class TestBuildAndStatus:
-    def test_build_returns_row_count_and_is_idempotent(self, loaded):
-        warehouse, _spec, _run, _spec_id, run_id = loaded
-        rows = warehouse.build_lineage_index(run_id)
-        assert rows > 0
-        assert warehouse.lineage_row_count(run_id) == rows
-        # A second build is a no-op returning the stored count; a rebuild
-        # recomputes and lands on the same closure.
-        assert warehouse.build_lineage_index(run_id) == rows
-        assert warehouse.build_lineage_index(run_id, rebuild=True) == rows
-
-    def test_row_count_matches_the_closure(self, loaded):
-        warehouse, _spec, _run, _spec_id, run_id = loaded
-        closure = compute_lineage_closure(warehouse, run_id)
-        assert warehouse.build_lineage_index(run_id) == closure.num_rows()
-
-    def test_status_before_and_after(self, loaded):
-        warehouse, _spec, _run, _spec_id, run_id = loaded
-        assert not warehouse.has_lineage_index(run_id)
-        assert warehouse.lineage_row_count(run_id) is None
-        assert warehouse.lineage_index_status() == {run_id: None}
-        rows = warehouse.build_lineage_index(run_id)
-        assert warehouse.has_lineage_index(run_id)
-        assert warehouse.lineage_index_status() == {run_id: rows}
-
-    def test_drop_reports_what_it_dropped(self, loaded):
-        warehouse, _spec, _run, _spec_id, run_id = loaded
-        warehouse.build_lineage_index(run_id)
-        assert warehouse.drop_lineage_index(run_id) == [run_id]
-        assert not warehouse.has_lineage_index(run_id)
-        assert warehouse.drop_lineage_index(run_id) == []  # already gone
-
-    def test_drop_all_runs(self, loaded):
-        warehouse, _spec, run, spec_id, run_id = loaded
-        other = warehouse.store_run(run, spec_id, run_id="second")
-        warehouse.build_lineage_index(run_id)
-        warehouse.build_lineage_index(other)
-        assert warehouse.drop_lineage_index() == sorted([run_id, other])
-        assert warehouse.lineage_index_status() == {run_id: None, other: None}
-
-    def test_unknown_run_is_rejected_everywhere(self, warehouse):
-        for probe in (
-            warehouse.build_lineage_index,
-            warehouse.has_lineage_index,
-            warehouse.lineage_row_count,
-            warehouse.drop_lineage_index,
-            warehouse.lineage_rows_raw,
-            warehouse.delete_run,
-        ):
-            with pytest.raises(UnknownEntityError):
-                probe("nope")
-
-
-class TestLookupParity:
-    def test_lookup_equals_the_reference_closure_for_every_object(self, loaded):
-        warehouse, spec, run, _spec_id, run_id = loaded
-        warehouse.build_lineage_index(run_id)
-        reference = CompositeRun(run, admin_view(spec))
-        for data_id in sorted(run.data_ids() | run.user_inputs()):
-            assert warehouse.lineage_lookup(run_id, data_id) == \
-                deep_provenance(reference, data_id)
-
-    def test_admin_deep_provenance_is_identical_with_and_without_index(
-        self, loaded
-    ):
-        warehouse, run, run_id = loaded[0], loaded[2], loaded[4]
-        targets = sorted(run.final_outputs() | run.user_inputs())
-        recursive = {d: warehouse.admin_deep_provenance(run_id, d)
-                     for d in targets}
-        warehouse.build_lineage_index(run_id)
-        for data_id in targets:
-            assert warehouse.admin_deep_provenance(run_id, data_id) == \
-                recursive[data_id]
-
-    def test_user_input_lineage_is_just_the_input(self, loaded):
-        warehouse, _spec, run, _spec_id, run_id = loaded
-        warehouse.build_lineage_index(run_id)
-        source = min(run.user_inputs())
-        result = warehouse.lineage_lookup(run_id, source)
-        assert result.rows == []
-        assert result.user_inputs == {source}
-
-    def test_lookup_without_index_raises(self, loaded):
-        warehouse, _spec, _run, _spec_id, run_id = loaded
-        with pytest.raises(WarehouseError, match="no lineage index"):
-            warehouse.lineage_lookup(run_id, "d447")
-
-    def test_lookup_validates_the_data_id(self, loaded):
-        warehouse, _spec, _run, _spec_id, run_id = loaded
-        warehouse.build_lineage_index(run_id)
-        with pytest.raises(UnknownEntityError):
-            warehouse.lineage_lookup(run_id, "no-such-data")
-
-    def test_hit_and_miss_counters(self, registry, loaded):
-        warehouse, _spec, _run, _spec_id, run_id = loaded
-        warehouse.admin_deep_provenance(run_id, "d447")
-        assert registry.counter("index.miss").value == 1
-        assert registry.counter("index.hit").value == 0
-        warehouse.build_lineage_index(run_id)
-        warehouse.admin_deep_provenance(run_id, "d447")
-        assert registry.counter("index.hit").value == 1
-        assert registry.counter("index.miss").value == 1
-        warehouse.drop_lineage_index(run_id)
-        warehouse.admin_deep_provenance(run_id, "d447")
-        assert registry.counter("index.miss").value == 2
-
-    def test_build_timer_observes_each_build(self, registry, loaded):
-        warehouse, _spec, _run, _spec_id, run_id = loaded
-        warehouse.build_lineage_index(run_id)
-        warehouse.build_lineage_index(run_id)  # no-op: not re-timed
-        warehouse.build_lineage_index(run_id, rebuild=True)
-        assert registry.timer("index.build").count == 2
-
-
-class TestIngestionTimeIndexing:
-    def test_auto_index_constructor_flag(self, backend):
-        spec = phylogenomic_spec()
-        run = phylogenomic_run(spec)
-        warehouse = _BACKENDS[backend](auto_index=True)
-        try:
-            run_id = warehouse.store_run(run, warehouse.store_spec(spec))
-            assert warehouse.has_lineage_index(run_id)
-            assert warehouse.lineage_row_count(run_id) > 0
-        finally:
-            if backend == "sqlite":
-                warehouse.close()
-
-    def test_loader_index_flag(self, warehouse):
-        from repro.testing import simulate_small
-
-        spec = phylogenomic_spec()
-        spec_id = warehouse.store_spec(spec)
-        result = simulate_small(spec)
-        plain = load_simulation(warehouse, result, spec_id, run_id="plain")
-        indexed = load_simulation(
-            warehouse, result, spec_id, run_id="indexed", index=True
-        )
-        assert not warehouse.has_lineage_index(plain)
-        assert warehouse.has_lineage_index(indexed)
-
-
-class TestIncrementalMaintenance:
-    def test_delete_run_removes_the_index_with_the_run(self, loaded):
-        warehouse, _spec, run, spec_id, run_id = loaded
-        warehouse.build_lineage_index(run_id)
-        warehouse.delete_run(run_id)
-        with pytest.raises(UnknownEntityError):
-            warehouse.has_lineage_index(run_id)
-        assert warehouse.list_runs() == []
-        # Re-ingesting under the same id starts unindexed and closes to
-        # the same answers as before.
-        assert warehouse.store_run(run, spec_id, run_id=run_id) == run_id
-        assert not warehouse.has_lineage_index(run_id)
-        rebuilt = warehouse.build_lineage_index(run_id)
-        assert rebuilt == warehouse.lineage_row_count(run_id) > 0
-
-    def test_indexed_reasoner_builds_lazily_and_persists(self, loaded):
-        warehouse, spec, run, _spec_id, run_id = loaded
-        first = ProvenanceReasoner(warehouse, strategy="indexed")
-        assert not warehouse.has_lineage_index(run_id)
-        target = min(run.final_outputs())
-        answer = first.deep(run_id, target)
-        assert warehouse.has_lineage_index(run_id)
-        # A second, cold reasoner finds the persisted index: same answer,
-        # no second build.
-        rows = warehouse.lineage_row_count(run_id)
-        second = ProvenanceReasoner(warehouse, strategy="indexed")
-        assert second.deep(run_id, target) == answer
-        assert warehouse.lineage_row_count(run_id) == rows
-
-    def test_invalidate_run_drops_the_persistent_index(self, loaded):
-        warehouse, spec, run, _spec_id, run_id = loaded
-        reasoner = ProvenanceReasoner(warehouse, strategy="indexed")
-        target = min(run.final_outputs())
-        before = reasoner.deep(run_id, target, view=joe_view(spec))
-        assert warehouse.has_lineage_index(run_id)
-        reasoner.invalidate_run(run_id)
-        assert not warehouse.has_lineage_index(run_id)
-        # Querying again rebuilds from scratch and agrees with itself.
-        assert reasoner.deep(run_id, target, view=joe_view(spec)) == before
-        assert warehouse.has_lineage_index(run_id)
-
-    def test_clear_cache_keeps_the_index(self, loaded):
-        warehouse, _spec, run, _spec_id, run_id = loaded
-        reasoner = ProvenanceReasoner(warehouse, strategy="indexed")
-        reasoner.deep(run_id, min(run.final_outputs()))
-        reasoner.clear_cache()
-        assert warehouse.has_lineage_index(run_id)
-
-
-class TestStalenessLint:
-    def _lint(self, warehouse, run_id):
-        from repro.lint.rules_warehouse import lint_lineage_index
-
-        return lint_lineage_index(
-            warehouse, run_id,
-            warehouse.steps_of_run(run_id),
-            warehouse.io_rows(run_id),
-            sorted(warehouse.user_inputs(run_id)),
-        )
-
-    def test_fresh_index_is_clean(self, loaded):
-        warehouse, _spec, _run, _spec_id, run_id = loaded
-        assert self._lint(warehouse, run_id) == []  # no index: nothing to check
-        warehouse.build_lineage_index(run_id)
-        assert self._lint(warehouse, run_id) == []
-
-    def test_wh038_flags_an_out_of_band_edit(self, loaded):
-        warehouse, _spec, _run, _spec_id, run_id = loaded
-        if not isinstance(warehouse, SqliteWarehouse):
-            pytest.skip("corrupting closure rows needs direct SQL access")
-        warehouse.build_lineage_index(run_id)
-        with warehouse._conn:
-            warehouse._conn.execute(
-                "DELETE FROM lineage WHERE run_id = ? AND data_id = 'd447'"
-                " AND step_id = 'S1'",
-                (run_id,),
-            )
-        findings = self._lint(warehouse, run_id)
-        assert [f.rule_id for f in findings] == ["WH038"]
-        assert "missing" in findings[0].message
-        warehouse.build_lineage_index(run_id, rebuild=True)
-        assert self._lint(warehouse, run_id) == []
+from repro.workloads.phylogenomic import phylogenomic_run, phylogenomic_spec
 
 
 class TestSqliteQueryPlans:
@@ -299,7 +23,6 @@ class TestSqliteQueryPlans:
         run = phylogenomic_run(spec)
         with SqliteWarehouse() as warehouse:
             run_id = warehouse.store_run(run, warehouse.store_spec(spec))
-            warehouse.build_lineage_index(run_id)
             yield warehouse, run_id
 
     def _plan(self, warehouse, sql, params):
@@ -307,24 +30,11 @@ class TestSqliteQueryPlans:
         return [row[-1] for row in cursor.fetchall()]
 
     def _assert_no_table_scan(self, details):
-        # "SCAN lineage" over the recursive CTE (which shares the name of
-        # the base table) is fine; scanning a base table is not.
+        # "SCAN lineage" over the recursive CTE is fine; scanning a base
+        # table is not.
         for detail in details:
             for table in ("io", "step", "annotation", "user_input"):
                 assert not detail.startswith("SCAN %s" % table), detail
-
-    def test_lineage_lookup_is_a_range_search(self, sqlite):
-        from repro.warehouse.schema import (
-            SQLITE_LINEAGE_LOOKUP,
-            SQLITE_LINEAGE_LOOKUP_INPUTS,
-        )
-
-        warehouse, run_id = sqlite
-        params = {"run_id": run_id, "data_id": "d447", "input": "input"}
-        for sql in (SQLITE_LINEAGE_LOOKUP, SQLITE_LINEAGE_LOOKUP_INPUTS):
-            details = self._plan(warehouse, sql, params)
-            assert any("SEARCH lineage" in d for d in details), details
-            assert not any(d.startswith("SCAN") for d in details), details
 
     def test_recursive_closure_uses_the_io_indexes(self, sqlite):
         from repro.warehouse.schema import SQLITE_DEEP_PROVENANCE
@@ -357,56 +67,3 @@ class TestSqliteQueryPlans:
         # without filtering; it must pick the covering secondary index.
         annotated = self._plan(warehouse, probes[3][0], probes[3][1])
         assert any("annotation_by_key" in d for d in annotated), annotated
-
-
-class TestCli:
-    @pytest.fixture
-    def db(self, tmp_path):
-        path = str(tmp_path / "warehouse.sqlite")
-        spec = phylogenomic_spec()
-        run = phylogenomic_run(spec)
-        with SqliteWarehouse(path) as warehouse:
-            run_id = warehouse.store_run(run, warehouse.store_spec(spec))
-        return path, run_id
-
-    def test_build_status_drop_cycle(self, db, capsys):
-        from repro.zoom.cli import main
-
-        path, run_id = db
-        assert main(["index", "status", "--db", path]) == 0
-        assert "0 of 1 run(s) indexed" in capsys.readouterr().out
-        assert main(["index", "build", "--db", path]) == 0
-        out = capsys.readouterr().out
-        assert ("indexed %s:" % run_id) in out and "lineage rows" in out
-        assert main(["index", "status", "--db", path]) == 0
-        out = capsys.readouterr().out
-        assert "1 of 1 run(s) indexed" in out and "rows" in out
-        assert main(["index", "drop", "--db", path, "--run-id", run_id]) == 0
-        assert "dropped lineage index of 1 run(s)" in capsys.readouterr().out
-        assert main(["index", "status", "--db", path]) == 0
-        assert "not indexed" in capsys.readouterr().out
-
-    def test_load_with_index_flag(self, tmp_path, capsys):
-        from repro.zoom.cli import main
-
-        spec_path = tmp_path / "spec.json"
-        db_path = str(tmp_path / "generated.sqlite")
-        main(["generate", "--class", "Class2", "--seed", "5", "--name",
-              "cli-wf", "--out", str(spec_path)])
-        capsys.readouterr()
-        assert main(["load", "--db", db_path, "--spec", str(spec_path),
-                     "--run-class", "small", "--runs", "1", "--index"]) == 0
-        assert "lineage index built:" in capsys.readouterr().out
-        with SqliteWarehouse(db_path) as warehouse:
-            assert warehouse.has_lineage_index("cli-wf/run1")
-
-    def test_prov_with_indexed_strategy(self, db, capsys):
-        from repro.zoom.cli import main
-
-        path, run_id = db
-        assert main(["prov", "--db", path, "--run-id", run_id,
-                     "--strategy", "indexed"]) == 0
-        assert "deep provenance of" in capsys.readouterr().out
-        # The lazy build persisted the index into the warehouse file.
-        with SqliteWarehouse(path) as warehouse:
-            assert warehouse.has_lineage_index(run_id)

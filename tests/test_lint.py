@@ -620,82 +620,3 @@ class TestWarehouseRules:
         report = lint_warehouse(warehouse, emit_metrics=False)
         assert report.ok()
         assert rule_ids(report) == ["SPEC009"]  # the workload's loop note
-
-
-# ----------------------------------------------------------------------
-# WH042: the static lineage-closure budget
-# ----------------------------------------------------------------------
-
-
-class TestClosureBudget:
-    @staticmethod
-    def chain_rows(length):
-        """A linear chain s1 -> s2 -> ... whose closure is quadratic."""
-        steps = [("s%d" % i, "A") for i in range(1, length + 1)]
-        io_rows = []
-        for i in range(1, length + 1):
-            if i > 1:
-                io_rows.append(("s%d" % i, "d%d" % (i - 1), "in"))
-            io_rows.append(("s%d" % i, "d%d" % i, "out"))
-        return steps, io_rows
-
-    def lint_chain(self, length, threshold):
-        from repro.lint.rules_warehouse import lint_closure_budget
-
-        steps, io_rows = self.chain_rows(length)
-        return lint_closure_budget(
-            "r", steps, io_rows, user_inputs=[], threshold=threshold
-        )
-
-    def test_deep_chain_trips_a_low_threshold(self):
-        # Closure of a 40-step chain is 1+2+...+40 = 820 predicted rows.
-        found = self.lint_chain(length=40, threshold=100)
-        assert [f.rule_id for f in found] == ["WH042"]
-        assert "820" in found[0].message
-        assert "exceeds the budget of 100" in found[0].message
-
-    def test_default_threshold_passes_paper_scale_runs(self):
-        assert self.lint_chain(length=40, threshold=250_000) == []
-
-    def test_zero_threshold_disables_the_rule(self):
-        assert self.lint_chain(length=40, threshold=0) == []
-
-    def test_cyclic_rows_are_skipped(self):
-        from repro.lint.rules_warehouse import lint_closure_budget
-
-        steps = [("s1", "A"), ("s2", "A")]
-        io_rows = [
-            ("s1", "d2", "in"), ("s1", "d1", "out"),
-            ("s2", "d1", "in"), ("s2", "d2", "out"),
-        ]
-        assert lint_closure_budget(
-            "r", steps, io_rows, user_inputs=[], threshold=1
-        ) == []
-
-    def test_bound_is_capped_at_the_step_count(self):
-        # A diamond fan re-counts shared ancestors; the per-step bound must
-        # still never exceed the run's step count.
-        from repro.lint.rules_warehouse import lint_closure_budget
-
-        steps = [("s%d" % i, "A") for i in range(1, 5)]
-        io_rows = [
-            ("s1", "d1", "out"),
-            ("s2", "d1", "in"), ("s2", "d2", "out"),
-            ("s3", "d1", "in"), ("s3", "d3", "out"),
-            ("s4", "d2", "in"), ("s4", "d3", "in"), ("s4", "d4", "out"),
-        ]
-        found = lint_closure_budget(
-            "r", steps, io_rows, user_inputs=[], threshold=1
-        )
-        assert [f.rule_id for f in found] == ["WH042"]
-        # bounds: s1=1, s2=2, s3=2, s4=min(4, 1+2+2)=4 -> predicted 9.
-        assert "~9 row(s)" in found[0].message
-
-    def test_linter_threads_the_threshold_through_lint_warehouse(self, spec):
-        warehouse = InMemoryWarehouse()
-        spec_id = warehouse.store_spec(spec)
-        warehouse.store_run(simulate(spec).run, spec_id)
-        strict = Linter(emit_metrics=False, closure_row_threshold=1)
-        assert "WH042" in rule_ids(strict.lint_warehouse(warehouse))
-        relaxed = Linter(emit_metrics=False)
-        assert "WH042" not in rule_ids(relaxed.lint_warehouse(warehouse))

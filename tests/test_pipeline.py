@@ -67,9 +67,8 @@ def dump(warehouse):
             warehouse.io_rows(run_id),
             sorted(warehouse.user_inputs(run_id)),
             sorted(warehouse.final_outputs(run_id)),
-            warehouse.lineage_row_count(run_id),
-            sorted(warehouse.lineage_rows_raw(run_id))
-            if warehouse.has_lineage_index(run_id) else None,
+            warehouse.label_row_count(run_id),
+            sorted(warehouse.label_rows_raw(run_id)),
         )
     return out
 
@@ -105,7 +104,8 @@ def reference(workload, tmp_path_factory):
         warehouse = SqliteWarehouse(
             str(tmp_path_factory.mktemp("ref") / "ref.sqlite")
         )
-        load_dataset(warehouse, workload, index=True)
+        load_dataset(warehouse, workload)
+        build_lineage_indexes(warehouse)
         reference_dump = dump(warehouse)
         warehouse.close()
     finally:
@@ -126,7 +126,7 @@ class TestParity:
                 str(tmp_path / "w.sqlite"), bulk=(backend == "sqlite-bulk")
             )
         ingest_dataset(
-            warehouse, workload, jobs=jobs, batch_size=batch_size, index=True
+            warehouse, workload, jobs=jobs, batch_size=batch_size, labels=True
         )
         reference_dump, reference_lint = reference
         assert dump(warehouse) == reference_dump
@@ -139,7 +139,7 @@ class TestParity:
                 str(tmp_path / ("d%d.sqlite" % attempt)), bulk=True
             )
             ingest_dataset(warehouse, workload, jobs=3, batch_size=2,
-                           index=True)
+                           labels=True)
             dumps.append(dump(warehouse))
             warehouse.close()
         assert dumps[0] == dumps[1]
@@ -147,7 +147,8 @@ class TestParity:
     def test_load_dataset_routes_to_pipeline(self, workload, reference,
                                              registry, tmp_path):
         warehouse = SqliteWarehouse(str(tmp_path / "w.sqlite"))
-        records = load_dataset(warehouse, workload, parallel=2, index=True)
+        records = load_dataset(warehouse, workload, parallel=2)
+        build_lineage_indexes(warehouse)
         assert dump(warehouse) == reference[0]
         assert [r.spec_id for r in records] == ["wf0", "wf1", "wf2"]
         assert all(len(r.run_ids) == 4 for r in records)
@@ -229,7 +230,7 @@ class TestStoreMany:
         from repro.warehouse.pipeline import _PrepareTask
 
         return prepare_run(_PrepareTask(
-            run=result.run, spec_id=spec.name, run_id=run_id, index=False,
+            run=result.run, spec_id=spec.name, run_id=run_id,
         ))
 
     def workload_prepared(self, n=3):
@@ -270,16 +271,6 @@ class TestStoreMany:
             ProvenanceWarehouse.store_many(
                 _NoBulk(), [PreparedRun("r", "s", "r")]
             )
-
-    def test_never_consults_auto_index(self, tmp_path):
-        """store_many is a row primitive: auto_index is the pipeline's job."""
-        spec, prepared = self.workload_prepared(n=1)
-        warehouse = SqliteWarehouse(str(tmp_path / "w.sqlite"),
-                                    auto_index=True)
-        warehouse.store_spec(spec)
-        warehouse.store_many(prepared)
-        assert not warehouse.has_lineage_index(prepared[0].run_id)
-
 
 class TestBulkPragmas:
     def synchronous(self, warehouse):
@@ -324,42 +315,6 @@ class TestBulkPragmas:
             assert self.io_indexes(warehouse) == ["io_by_data", "io_by_step"]
 
 
-class TestAutoIndexLint:
-    def stored_run(self, tmp_path, auto_index):
-        spec = linear_spec(1, name="wh39")
-        result = simulate(spec, rng=random.Random(1))
-        warehouse = SqliteWarehouse(str(tmp_path / "w.sqlite"),
-                                    auto_index=auto_index)
-        warehouse.store_spec(spec)
-        run_id = warehouse.store_run(result.run, "wh39", run_id="wh39/run1")
-        return warehouse, run_id
-
-    def test_wh039_flags_dropped_index(self, tmp_path):
-        warehouse, run_id = self.stored_run(tmp_path, auto_index=True)
-        assert not [f for f in lint_warehouse(warehouse)
-                    if f.rule_id == "WH039"]
-        warehouse.drop_lineage_index(run_id)
-        flagged = [f for f in lint_warehouse(warehouse)
-                   if f.rule_id == "WH039"]
-        assert [f.subject for f in flagged] == [run_id]
-
-    def test_wh039_silent_without_auto_index(self, tmp_path):
-        warehouse, _run_id = self.stored_run(tmp_path, auto_index=False)
-        assert not [f for f in lint_warehouse(warehouse)
-                    if f.rule_id == "WH039"]
-
-    def test_pipeline_honours_auto_index(self, tmp_path):
-        spec = linear_spec(1, name="wh39")
-        simulations = [simulate(spec, rng=random.Random(1))]
-        warehouse = SqliteWarehouse(str(tmp_path / "w.sqlite"),
-                                    auto_index=True)
-        ingest_dataset(warehouse, [(spec, simulations)])
-        (run_id,) = warehouse.list_runs()
-        assert warehouse.has_lineage_index(run_id)
-        assert not [f for f in lint_warehouse(warehouse)
-                    if f.rule_id == "WH039"]
-
-
 class TestBuildLineageIndexes:
     def loaded(self, directory):
         directory.mkdir(parents=True, exist_ok=True)
@@ -372,15 +327,15 @@ class TestBuildLineageIndexes:
         serial = self.loaded(tmp_path / "s")
         counts = build_lineage_indexes(parallel, jobs=3)
         for run_id in serial.list_runs():
-            serial.build_lineage_index(run_id)
-            assert counts[run_id] == serial.lineage_row_count(run_id)
-            assert (parallel.lineage_rows_raw(run_id)
-                    == serial.lineage_rows_raw(run_id))
+            serial.build_label_index(run_id)
+            assert counts[run_id] == serial.label_row_count(run_id)
+            assert (parallel.label_rows_raw(run_id)
+                    == serial.label_rows_raw(run_id))
 
     def test_skips_indexed_unless_rebuild(self, tmp_path):
         warehouse = self.loaded(tmp_path)
         first = warehouse.list_runs()[0]
-        warehouse.build_lineage_index(first)
+        warehouse.build_label_index(first)
         counts = build_lineage_indexes(warehouse, jobs=2)
         assert set(counts) == set(warehouse.list_runs())
         rebuilt = build_lineage_indexes(warehouse, [first], jobs=2,
@@ -410,9 +365,9 @@ class TestCli:
         serial_db = str(tmp_path / "serial.sqlite")
         piped_db = str(tmp_path / "piped.sqlite")
         assert main(["load", "--db", serial_db, "--spec", spec_path,
-                     "--runs", "3", "--seed", "9", "--index"]) == 0
+                     "--runs", "3", "--seed", "9"]) == 0
         assert main(["load", "--db", piped_db, "--spec", spec_path,
-                     "--runs", "3", "--seed", "9", "--index",
+                     "--runs", "3", "--seed", "9",
                      "--jobs", "2", "--batch", "2"]) == 0
         out = capsys.readouterr().out
         assert "cli-wf/run3" in out
@@ -427,8 +382,8 @@ class TestCli:
         assert main(["index", "build", "--db", db, "--all",
                      "--jobs", "2"]) == 0
         out = capsys.readouterr().out
-        assert "indexed cli-wf/run1" in out
-        assert "indexed cli-wf/run2" in out
+        assert "labeled cli-wf/run1" in out
+        assert "labeled cli-wf/run2" in out
         with SqliteWarehouse(db) as warehouse:
-            assert all(warehouse.has_lineage_index(run_id)
+            assert all(warehouse.has_label_index(run_id)
                        for run_id in warehouse.list_runs())

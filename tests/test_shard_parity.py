@@ -29,7 +29,7 @@ from repro.workloads.classes import RUN_CLASSES, WORKFLOW_CLASSES
 from repro.workloads.generator import generate_workflow
 from repro.workloads.runs import generate_run
 
-STRATEGIES = ("cached", "uncached", "indexed", "labeled", "auto")
+STRATEGIES = ("cached", "uncached", "labeled")
 
 
 def workload(n_specs=2, n_runs=4, size=10, seed=17):
@@ -76,10 +76,7 @@ def canonical(answer) -> str:
 
 
 def reasoner_for(warehouse, strategy):
-    return ProvenanceReasoner(
-        warehouse, strategy=strategy,
-        closure_row_threshold=0 if strategy == "auto" else None,
-    )
+    return ProvenanceReasoner(warehouse, strategy=strategy)
 
 
 class TestFingerprintParity:
@@ -107,7 +104,7 @@ class TestFingerprintParity:
 
 
 class TestStrategyParity:
-    def test_five_strategies_byte_identical_on_sharded(self, tmp_path):
+    def test_three_strategies_byte_identical_on_sharded(self, tmp_path):
         items = workload(n_specs=1, n_runs=3)
         spec = items[0][0]
         relevant = sorted(spec.modules)[:2]

@@ -21,7 +21,6 @@ from repro.core.errors import WarehouseError
 from repro.faults import FaultPlan, InjectedCrash
 from repro.lint import Linter, lint_warehouse
 from repro.obs import MetricsRegistry, set_registry
-from repro.provenance.index import INPUT_MARKER, closure_delta_rows
 from repro.provenance.labels import (
     label_table_rows,
     labels_from_rows,
@@ -259,8 +258,8 @@ class TestStreamCrashMatrix:
     def test_trailing_delta_watermark_drops_indexes(
         self, registry, tmp_path
     ):
-        """A kill between the epoch commit and the index delta: recovery
-        detects the trailing watermark and drops the stale indexes."""
+        """A kill between the epoch commit and the label delta: recovery
+        detects the trailing watermark and drops the stale labels."""
         spec, log = _chain_fixture()
         warehouse = make_warehouse("sqlite", tmp_path)
         spec_id = warehouse.store_spec(spec)
@@ -269,7 +268,6 @@ class TestStreamCrashMatrix:
         ingestor = StreamingIngestor(warehouse)
         ingestor.open_run("sw/live", spec_id)
         ingestor.ingest_events("sw/live", chunks[0])
-        warehouse.build_lineage_index("sw/live")
         warehouse.build_label_index("sw/live")
 
         plan = FaultPlan().crash_at("stream.delta")
@@ -280,12 +278,11 @@ class TestStreamCrashMatrix:
             crasher.ingest_events("sw/live", chunks[1])
         state = warehouse.stream_state("sw/live")
         assert state.delta_epoch < state.epoch
-        assert warehouse.has_lineage_index("sw/live")
+        assert warehouse.has_label_index("sw/live")
 
         report = recover(warehouse)
         assert report.stream_desynced == ["sw/live"]
         assert registry.counter("recovery.stream_desynced").value == 1
-        assert not warehouse.has_lineage_index("sw/live")
         assert not warehouse.has_label_index("sw/live")
         state = warehouse.stream_state("sw/live")
         assert state.delta_epoch == state.epoch
@@ -396,7 +393,7 @@ class TestIncrementalIndexes:
     """Epoch deltas leave indexes byte-identical to a cold rebuild."""
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_closure_and_label_parity_after_n_epochs(
+    def test_label_parity_after_n_epochs(
         self, backend, registry, tmp_path
     ):
         spec, log = _chain_fixture()
@@ -407,24 +404,22 @@ class TestIncrementalIndexes:
         ingestor = StreamingIngestor(warehouse)
         ingestor.open_run("sw/idx", spec_id)
         ingestor.ingest_events("sw/idx", chunks[0])
-        warehouse.build_lineage_index("sw/idx")
         warehouse.build_label_index("sw/idx")
         for chunk in chunks[1:]:
             ingestor.ingest_events("sw/idx", chunk)
         ingestor.finalize_run("sw/idx")
-        assert registry.counter("stream.delta").value > 0
+        maintained = (registry.counter("stream.delta").value
+                      + registry.counter("stream.rebuild").value)
+        assert maintained == len(chunks) - 1
 
-        live_closure = set(warehouse.lineage_rows_raw("sw/idx"))
         live_labels = set(warehouse.label_rows_raw("sw/idx"))
-        warehouse.build_lineage_index("sw/idx", rebuild=True)
         warehouse.build_label_index("sw/idx", rebuild=True)
-        assert live_closure == set(warehouse.lineage_rows_raw("sw/idx"))
         assert live_labels == set(warehouse.label_rows_raw("sw/idx"))
         if backend != "memory":
             warehouse.close()
 
     def test_all_strategies_match_cold_rebuild(self, registry, tmp_path):
-        """After streaming with live index maintenance, every reasoner
+        """After streaming with live label maintenance, every reasoner
         strategy answers byte-identically to a cold batch warehouse."""
         spec, log = _chain_fixture()
         streamed = make_warehouse("sqlite", tmp_path)
@@ -433,7 +428,6 @@ class TestIncrementalIndexes:
         ingestor = StreamingIngestor(streamed)
         ingestor.open_run("sw/q", spec_id)
         ingestor.ingest_events("sw/q", chunks[0])
-        streamed.build_lineage_index("sw/q")
         streamed.build_label_index("sw/q")
         for chunk in chunks[1:]:
             ingestor.ingest_events("sw/q", chunk)
@@ -444,7 +438,7 @@ class TestIncrementalIndexes:
         cold.store_log(log, spec_id, run_id="sw/q")
 
         data_ids = sorted({d for _s, d, _dir in cold.io_rows("sw/q")})
-        for strategy in ("cached", "uncached", "indexed", "labeled", "auto"):
+        for strategy in ("cached", "uncached", "labeled"):
             hot = ProvenanceReasoner(streamed, strategy=strategy)
             ref = ProvenanceReasoner(cold, strategy="cached")
             for data_id in data_ids:
@@ -452,25 +446,6 @@ class TestIncrementalIndexes:
                     "sw/q", data_id
                 ), (strategy, data_id)
         streamed.close()
-
-    def test_deltas_dominate_on_canonical_streams(self, registry, tmp_path):
-        """chunk_log emits frontier-shaped epochs, so the closure delta
-        path runs every epoch and rebuilds stay rare."""
-        workload = streaming_workload(n_specs=1, n_runs=1, size=14)
-        spec, _runs, logs = workload[0]
-        warehouse = make_warehouse("memory", tmp_path)
-        spec_id = warehouse.store_spec(spec)
-        run_id, log = logs[0]
-        ingestor = StreamingIngestor(warehouse)
-        ingestor.open_run(run_id, spec_id)
-        chunks = chunk_log(log, max_events=MAX_EVENTS)
-        ingestor.ingest_events(run_id, chunks[0])
-        warehouse.build_lineage_index(run_id)
-        for chunk in chunks[1:]:
-            ingestor.ingest_events(run_id, chunk)
-        ingestor.finalize_run(run_id)
-        assert registry.counter("stream.delta").value == len(chunks) - 1
-        assert registry.counter("stream.rebuild").value == 0
 
     def test_non_frontier_epoch_falls_back_to_rebuild(
         self, registry, tmp_path
@@ -485,7 +460,7 @@ class TestIncrementalIndexes:
         ingestor = StreamingIngestor(warehouse)
         ingestor.open_run("sw/split", spec_id)
         ingestor.ingest_events("sw/split", events[:2])
-        warehouse.build_lineage_index("sw/split")
+        warehouse.build_label_index("sw/split")
         # Split mid-block: io rows arrive pointing at steps from this
         # very epoch *and* earlier ones in non-frontier order.
         for index in range(2, len(events)):
@@ -493,9 +468,9 @@ class TestIncrementalIndexes:
         ingestor.finalize_run("sw/split")
         assert registry.counter("stream.rebuild").value > 0
 
-        live = set(warehouse.lineage_rows_raw("sw/split"))
-        warehouse.build_lineage_index("sw/split", rebuild=True)
-        assert live == set(warehouse.lineage_rows_raw("sw/split"))
+        live = set(warehouse.label_rows_raw("sw/split"))
+        warehouse.build_label_index("sw/split", rebuild=True)
+        assert live == set(warehouse.label_rows_raw("sw/split"))
 
 
 class TestChunkLog:
@@ -519,26 +494,14 @@ class TestChunkLog:
 
 
 class TestDeltaPrimitives:
-    """Unit tests for closure_delta_rows and try_extend."""
+    """Unit tests for try_extend."""
 
-    def test_closure_delta_matches_rebuild_on_boundary(self):
-        # Epoch 1: input -> s1 -> d1.  Epoch 2: d1 -> s2 -> d2.
-        base = {"d1": [("s1", "d0")]}
-
-        rows = closure_delta_rows(
-            "r", [("s2", "M2")], [("s2", "d1", "in"), ("s2", "d2", "out")],
-            [], lambda d: _FakeResult(base[d], {"d0"}),
+    def test_try_extend_refuses_non_frontier_rows(self):
+        labels = labels_from_rows(
+            "r", [("s1", "M1")], [("s1", "a", "in"), ("s1", "b", "out")],
+            ["a"],
         )
-        assert ("d2", "s2", "d1") in rows
-        assert ("d2", "s1", "d0") in rows
-        assert ("d2", INPUT_MARKER, "d0") in rows
-
-    def test_non_frontier_delta_raises(self):
-        with pytest.raises(WarehouseError, match="frontier-shaped"):
-            closure_delta_rows(
-                "r", [], [("old_step", "d9", "out")], [],
-                lambda d: _FakeResult([], set()),
-            )
+        assert try_extend(labels, [], [("s1", "c", "out")], []) is None
 
     def test_try_extend_appends_forest_roots(self):
         steps = [("s1", "M1")]
@@ -820,7 +783,7 @@ class TestLintRules:
         ingestor = StreamingIngestor(warehouse)
         ingestor.open_run("sw/trail", spec_id)
         ingestor.ingest_events("sw/trail", chunks[0])
-        warehouse.build_lineage_index("sw/trail")
+        warehouse.build_label_index("sw/trail")
 
         plan = FaultPlan().crash_at("stream.delta")
         crasher = StreamingIngestor(warehouse, faults=plan)
@@ -896,20 +859,6 @@ class TestCli:
 # ----------------------------------------------------------------------
 # Fixtures and helpers
 # ----------------------------------------------------------------------
-
-
-class _FakeRow:
-    def __init__(self, step_id, data_in):
-        self.step_id = step_id
-        self.data_in = data_in
-
-
-class _FakeResult:
-    """Just enough of ProvenanceResult for closure_delta_rows."""
-
-    def __init__(self, pairs, user_inputs):
-        self.rows = [_FakeRow(s, d) for s, d in pairs]
-        self.user_inputs = frozenset(user_inputs)
 
 
 def _chain_fixture():

@@ -250,3 +250,69 @@ class TestSqliteSpecifics:
             assert registry.counter("warehouse.sql").value > 0
         finally:
             set_registry(previous)
+
+
+class TestOlderWarehouses:
+    """Files written before the closure index was retired still open."""
+
+    OLD_DDL = (
+        "CREATE TABLE lineage (run_id TEXT NOT NULL REFERENCES"
+        " run_def(run_id), data_id TEXT NOT NULL, step_id TEXT NOT NULL,"
+        " data_in TEXT NOT NULL,"
+        " PRIMARY KEY (run_id, data_id, step_id, data_in)) WITHOUT ROWID",
+        "CREATE TABLE lineage_meta (run_id TEXT PRIMARY KEY REFERENCES"
+        " run_def(run_id), row_count INTEGER NOT NULL)",
+    )
+
+    @staticmethod
+    def answers(warehouse, run_id, spec, targets):
+        from repro.provenance.reasoner import ProvenanceReasoner
+
+        out = {}
+        for strategy in ("cached", "uncached", "labeled"):
+            reasoner = ProvenanceReasoner(warehouse, strategy=strategy)
+            for view in (None, joe_view(spec)):
+                for data_id in targets:
+                    out[strategy, view is None, data_id] = reasoner.deep(
+                        run_id, data_id, view=view
+                    )
+        return out
+
+    def test_leftover_lineage_tables_are_dropped_on_open(self, tmp_path):
+        import sqlite3
+
+        path = str(tmp_path / "old.sqlite")
+        spec = phylogenomic_spec()
+        run = phylogenomic_run(spec)
+        targets = sorted(run.final_outputs() | run.user_inputs())
+        with SqliteWarehouse(path) as warehouse:
+            run_id = warehouse.store_run(run, warehouse.store_spec(spec))
+            before = self.answers(warehouse, run_id, spec, targets)
+            warehouse.drop_label_index()
+        # What an older version left behind: the closure tables, holding
+        # rows that would change the answers if anything still read them.
+        raw = sqlite3.connect(path)
+        with raw:
+            for statement in self.OLD_DDL:
+                raw.execute(statement)
+            raw.execute(
+                "INSERT INTO lineage VALUES (?, ?, 'S1', 'bogus')",
+                (run_id, targets[0]),
+            )
+            raw.execute("INSERT INTO lineage_meta VALUES (?, 1)", (run_id,))
+        raw.close()
+
+        with SqliteWarehouse(path) as warehouse:
+            tables = {
+                name for (name,) in warehouse._conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+            assert not tables & {"lineage", "lineage_meta"}
+            assert self.answers(warehouse, run_id, spec, targets) == before
+            labeled = {k: v for k, v in before.items() if k[0] == "labeled"}
+            assert {k[1:]: v for k, v in labeled.items()} == {
+                k[1:]: v for k, v in before.items() if k[0] == "uncached"
+            }
+            warehouse.delete_run(run_id)
+            assert warehouse.list_runs() == []
