@@ -28,29 +28,18 @@ Planted defects and the rules they trigger:
   was last maintained an epoch behind the committed rows, the footprint
   of a crash between the epoch commit and the label delta (``WH047``).
 
-With ``--sharded`` the script instead vandalises a sharded federation:
-a healthy spec-routed load whose runs all pile onto one shard
-(``WH045``, imbalance), one shard file deleted outright and a stray
-undeclared shard file planted next to the manifest (``WH044`` both
-ways).
-
 Usage::
 
     python examples/corrupt_warehouse.py [path.sqlite]
-    python examples/corrupt_warehouse.py --sharded [directory]
 
 Prints the path it wrote; lint it with::
 
     zoom lint --db corrupt.sqlite
     zoom lint --db corrupt.sqlite --strict   # exit code 1
-    zoom lint --db corrupt-fed               # WH044 + WH045
-    zoom shard status --db corrupt-fed       # the CLI view of the same
 """
 
 from __future__ import annotations
 
-import os
-import random
 import sqlite3
 import sys
 
@@ -185,54 +174,8 @@ def build(path: str) -> str:
     return path
 
 
-def build_sharded(directory: str) -> str:
-    """Write a corrupted sharded federation to ``directory``.
-
-    The damage is the kind ``WH044``/``WH045`` exist for: a healthy
-    load first (through the official API), then one shard file deleted,
-    one stray shard file planted, and a routing choice that piles every
-    run onto a single shard.
-    """
-    from repro.warehouse.loader import load_dataset
-    from repro.warehouse.sharded import ShardedWarehouse
-    from repro.workloads.classes import RUN_CLASSES, WORKFLOW_CLASSES
-    from repro.workloads.generator import generate_workflow
-    from repro.workloads.runs import generate_run
-
-    # Spec-affinity routing with one dominant workflow: every run of
-    # 'hotspot' lands on the same shard, which is exactly the skew WH045
-    # warns about.
-    rng = random.Random(44)
-    generated = generate_workflow(
-        WORKFLOW_CLASSES["Class2"], rng, target_size=10, name="hotspot"
-    )
-    runs = [
-        generate_run(generated.spec, RUN_CLASSES["small"], rng,
-                     run_id="r%d" % n)
-        for n in range(36)
-    ]
-    warehouse = ShardedWarehouse(directory, shards=4, router="spec")
-    load_dataset(warehouse, [(generated.spec, runs)])
-    warehouse.close()
-
-    # WH044, missing flavour: a shard file the manifest still declares.
-    busy = ShardedWarehouse(directory)
-    victim = next(
-        index for index, count in busy.runs_per_shard().items() if count == 0
-    )
-    busy.close()
-    os.remove(os.path.join(directory, "shard-%03d.db" % victim))
-    # WH044, extra flavour: a shard file the router never consults.
-    with open(os.path.join(directory, "shard-099.db"), "wb"):
-        pass
-    return directory
-
-
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    if args and args[0] == "--sharded":
-        print(build_sharded(args[1] if len(args) > 1 else "corrupt-fed"))
-        return 0
     path = args[0] if args else "corrupt.sqlite"
     print(build(path))
     return 0

@@ -27,7 +27,7 @@ from .rules_run import lint_run as _lint_run
 from .rules_source import lint_source_paths as _lint_source_paths
 from .rules_spec import lint_spec_payload
 from .rules_view import lint_view as _lint_view
-from .rules_warehouse import DEFAULT_OPEN_RUN_AGE, DEFAULT_SHARD_SKEW
+from .rules_warehouse import DEFAULT_OPEN_RUN_AGE
 from .rules_warehouse import lint_warehouse as _lint_warehouse
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only, avoids an import cycle
@@ -57,13 +57,11 @@ class Linter:
         config: Optional[RuleConfig] = None,
         emit_metrics: bool = True,
         check_minimality: bool = False,
-        shard_skew_factor: float = DEFAULT_SHARD_SKEW,
         open_run_age: float = DEFAULT_OPEN_RUN_AGE,
     ) -> None:
         self.config = config or RuleConfig()
         self.emit_metrics = emit_metrics
         self.check_minimality = check_minimality
-        self.shard_skew_factor = shard_skew_factor
         self.open_run_age = open_run_age
 
     # ------------------------------------------------------------------
@@ -102,7 +100,6 @@ class Linter:
         """Audit a warehouse's raw rows across all four layers."""
         return self._report(_lint_warehouse(
             warehouse, spec_ids=spec_ids, run_ids=run_ids,
-            shard_skew_factor=self.shard_skew_factor,
             open_run_age=self.open_run_age,
         ))
 

@@ -59,30 +59,12 @@ RULES.register("WH041", LAYER_WAREHOUSE, ERROR,
 RULES.register("WH043", LAYER_WAREHOUSE, ERROR,
                "materialised label index is stale or version-mismatched:"
                " stored reachability labels disagree with the run's io rows")
-RULES.register("WH044", LAYER_WAREHOUSE, ERROR,
-               "shard layout disagrees with the manifest: a declared shard"
-               " file is missing or an undeclared one is present")
-RULES.register("WH045", LAYER_WAREHOUSE, WARNING,
-               "shard imbalance: one shard owns disproportionately many"
-               " runs (beyond the configured skew factor)")
 RULES.register("WH046", LAYER_WAREHOUSE, WARNING,
                "streaming run is still open at rest (its producer crashed"
                " or never finalized)")
 RULES.register("WH047", LAYER_WAREHOUSE, ERROR,
                "streaming run's label deltas trail its committed epoch"
                " (the label index is stale)")
-
-#: Default skew factor for :func:`lint_shard_topology` (``WH045``): the
-#: busiest shard may own up to this multiple of the mean runs-per-shard
-#: before the imbalance is reported.  Hash routing stays well under it;
-#: spec-affinity routing with one dominant workflow trips it.
-DEFAULT_SHARD_SKEW = 2.0
-
-#: Minimum runs per shard (on average) before ``WH045`` engages — at low
-#: volume even uniform hash routing shows multinomial noise well past any
-#: reasonable skew factor, and a handful of runs is not an imbalance
-#: worth rebalancing anyway.
-SHARD_SKEW_MIN_RUNS_PER_SHARD = 8
 
 #: Default age (seconds since ``opened_at``) before ``WH046`` reports an
 #: open streaming run.  Zero flags *every* open run — right for an
@@ -179,7 +161,6 @@ def lint_warehouse(
     spec_ids: Optional[Sequence[str]] = None,
     run_ids: Optional[Sequence[str]] = None,
     check_minimality: bool = False,
-    shard_skew_factor: float = DEFAULT_SHARD_SKEW,
     open_run_age: float = DEFAULT_OPEN_RUN_AGE,
 ) -> List[Finding]:
     """Audit every artifact a warehouse holds (optionally narrowed).
@@ -294,9 +275,6 @@ def lint_warehouse(
         # a narrowed audit should not drag in unrelated findings.
         findings.extend(lint_integrity(warehouse))
         findings.extend(lint_ingest_journal(warehouse))
-        findings.extend(
-            lint_shard_topology(warehouse, skew_factor=shard_skew_factor)
-        )
         findings.extend(
             lint_stream_states(warehouse, open_run_age=open_run_age)
         )
@@ -428,82 +406,6 @@ def lint_stream_states(
                     hint="run 'zoom recover' to drop the stale labels"
                          " (they rebuild lazily on the next query)",
                 ))
-    return findings
-
-
-def lint_shard_topology(
-    warehouse: ProvenanceWarehouse,
-    skew_factor: float = DEFAULT_SHARD_SKEW,
-) -> List[Finding]:
-    """``WH044``/``WH045``: shard layout and balance of a federation.
-
-    Only engages on warehouses exposing ``shard_health()`` (the sharded
-    facade); the single-file backends have no layout to disagree with.
-
-    ``WH044`` (error) fires when the directory disagrees with the
-    manifest: a declared shard file was missing at open (the backend
-    recreated it *empty*, so its runs are gone) or is missing now, or an
-    undeclared ``shard-*.db`` is present (a manifest edited after the
-    fact, or files copied in from another federation — either way the
-    router will never look at it).
-
-    ``WH045`` (warning) fires when the busiest shard owns more than
-    ``skew_factor`` times the mean runs-per-shard (once the federation
-    holds enough runs for the ratio to mean anything): ingest and
-    scatter-gather latency degrade toward the single-file case because
-    one writer does most of the work.
-    """
-    health_probe = getattr(warehouse, "shard_health", None)
-    if not callable(health_probe):
-        return []
-    try:
-        health = health_probe()
-    except ZoomError:
-        return []
-    findings: List[Finding] = []
-    declared = int(cast(int, health.get("declared", 0)))
-    for name in cast("Sequence[str]", health.get("missing") or ()):
-        findings.append(RULES.finding(
-            "WH044", str(name),
-            "manifest declares shard file %r but the directory does not"
-            " hold it (its runs are unreachable)" % str(name),
-            hint="restore the shard file from backup, or re-load the"
-                 " dataset with --resume to re-ingest the lost runs",
-        ))
-    for name in cast("Sequence[str]", health.get("extra") or ()):
-        findings.append(RULES.finding(
-            "WH044", str(name),
-            "directory holds shard file %r which the manifest (shards=%d)"
-            " does not declare — the router never consults it"
-            % (str(name), declared),
-            hint="the manifest and directory disagree; remove the stray"
-                 " file or recreate the federation with the intended"
-                 " shard count",
-        ))
-    runs_per_shard = cast(
-        "Dict[object, int]", health.get("runs_per_shard") or {}
-    )
-    counts = [int(c) for c in runs_per_shard.values()]
-    if counts and len(counts) > 1:
-        total = sum(counts)
-        mean = total / len(counts)
-        busiest = max(counts)
-        if (
-            mean >= SHARD_SKEW_MIN_RUNS_PER_SHARD
-            and busiest > skew_factor * mean
-        ):
-            hot = max(runs_per_shard, key=lambda k: runs_per_shard[k])
-            findings.append(RULES.finding(
-                "WH045", "shard-%s" % hot,
-                "shard %s owns %d of %d runs (%.1fx the per-shard mean of"
-                " %.1f, skew factor %.1f)"
-                % (hot, busiest, total, busiest / mean if mean else 0.0,
-                   mean, skew_factor),
-                hint="check the router (spec-affinity routing skews when"
-                     " one workflow dominates); 'zoom shard"
-                     " rebalance-check' quantifies a re-rout under more"
-                     " shards",
-            ))
     return findings
 
 

@@ -41,7 +41,7 @@ import logging
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Deque, Dict, Iterator, List, TypeVar
+from typing import Callable, Deque, Dict, Iterator, TypeVar
 
 from ..sanitize import guard, make_lock
 
@@ -161,35 +161,6 @@ class Timer:
             self.last = 0.0
             self._samples.clear()
 
-    def merge(self, other: "Timer") -> None:
-        """Fold another timer's observations into this one.
-
-        Aggregates (count/total/min/max) combine exactly; the sample
-        window concatenates (bounded by its ring size) so percentiles
-        over the merged timer reflect both sources' recent history.
-        ``last`` takes the other timer's value when it has observations —
-        merge order decides ties, which is fine for a display field.
-        The other timer is snapshotted under its own lock first, then
-        this one is mutated under ours: sequential acquisition, so two
-        concurrent merges in opposite directions cannot deadlock.
-        """
-        with other._lock:
-            other_count = other.count
-            other_total = other.total
-            other_min = other.min
-            other_max = other.max
-            other_last = other.last
-            samples = list(other._samples)
-        if not other_count:
-            return
-        with self._lock:
-            self.count += other_count
-            self.total += other_total
-            self.min = min(self.min, other_min)
-            self.max = max(self.max, other_max)
-            self.last = other_last
-            self._samples.extend(samples)
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "count": self.count,
@@ -213,8 +184,7 @@ class MetricsRegistry:
     metric lookup.
     """
 
-    def __init__(self, namespace: str = "") -> None:
-        self.namespace = namespace
+    def __init__(self) -> None:
         self._lock = make_lock("metrics.registry")
         # Mutations guarded; reads deliberately lock-free (see class doc).
         self._counters: Dict[str, Counter] = guard(
@@ -225,9 +195,6 @@ class MetricsRegistry:
         )  # guarded-by: _lock
         self._gauges: Dict[str, Gauge] = guard(
             {}, self._lock, "metrics.registry._gauges", mode="w"
-        )  # guarded-by: _lock
-        self._children: Dict[str, "MetricsRegistry"] = guard(
-            {}, self._lock, "metrics.registry._children", mode="w"
         )  # guarded-by: _lock
 
     def counter(self, name: str) -> Counter:
@@ -260,90 +227,6 @@ class MetricsRegistry:
                 gauge = self._gauges[name] = Gauge(name)
             return gauge
 
-    def child(self, namespace: str) -> "MetricsRegistry":
-        """A namespaced sub-registry tracked by this one.
-
-        Children hold their metrics under *bare* names (a shard records
-        ``ingest.runs``, not ``shard3.ingest.runs``); the namespace is a
-        label applied when the parent rolls children up —
-        :meth:`snapshot` with ``children=True`` prefixes, :meth:`merged`
-        aggregates same-named metrics across children.  Repeated calls
-        with one namespace return the same child, so per-shard registries
-        survive reopen cycles of the object that owns them.
-        """
-        kid = self._children.get(namespace)
-        if kid is not None:
-            return kid
-        with self._lock:
-            kid = self._children.get(namespace)
-            if kid is None:
-                kid = self._children[namespace] = MetricsRegistry(
-                    namespace=namespace
-                )
-            return kid
-
-    def children(self) -> Dict[str, "MetricsRegistry"]:
-        """Namespace → child registry, in sorted namespace order."""
-        with self._lock:
-            return dict(sorted(self._children.items()))
-
-    def merge(self, other: "MetricsRegistry", prefix: str = "") -> None:
-        """Fold another registry's metrics into this one.
-
-        Counters add, timers combine aggregates and sample windows
-        (:meth:`Timer.merge`), gauges take the other registry's value
-        (last merge wins — gauges are point-in-time, summing them would
-        fabricate a reading).  ``prefix`` namespaces the incoming names
-        (``prefix + "." + name``); the other registry's children are
-        folded in recursively under their own namespaces.  Merging with
-        no prefix is how per-shard metrics aggregate into one view.
-        """
-        for name, counter in sorted(other._counters.items()):
-            value = counter.value
-            if value:
-                self.counter(self._qualify(prefix, name)).increment(value)
-        for name, timer in sorted(other._timers.items()):
-            self.timer(self._qualify(prefix, name)).merge(timer)
-        for name, gauge in sorted(other._gauges.items()):
-            self.gauge(self._qualify(prefix, name)).set(gauge.value)
-        for namespace, kid in sorted(other.children().items()):
-            self.merge(kid, prefix=self._qualify(prefix, namespace))
-
-    def merged(self, namespaced: bool = False) -> "MetricsRegistry":
-        """One flat registry aggregating this one and all its children.
-
-        With ``namespaced=False`` (default) same-named metrics across
-        children add up — the "whole federation" view; with
-        ``namespaced=True`` each child's names keep their namespace
-        prefix — the "per shard" view.
-        """
-        out = MetricsRegistry()
-        if namespaced:
-            out.merge(self)
-            return out
-        stack: List["MetricsRegistry"] = [self]
-        while stack:
-            registry = stack.pop()
-            out.merge(registry._without_children())
-            stack.extend(registry.children().values())
-        return out
-
-    def _without_children(self) -> "MetricsRegistry":
-        """A shallow view of this registry's own metrics (no children)."""
-        view = MetricsRegistry(namespace=self.namespace)
-        for name, counter in self._counters.items():
-            if counter.value:
-                view.counter(name).increment(counter.value)
-        for name, timer in self._timers.items():
-            view.timer(name).merge(timer)
-        for name, gauge in self._gauges.items():
-            view.gauge(name).set(gauge.value)
-        return view
-
-    @staticmethod
-    def _qualify(prefix: str, name: str) -> str:
-        return "%s.%s" % (prefix, name) if prefix else name
-
     @contextmanager
     def time(self, name: str) -> Iterator[Timer]:
         """Context manager observing the elapsed wall-clock time."""
@@ -354,14 +237,8 @@ class MetricsRegistry:
         finally:
             timer.observe(time.perf_counter() - started)
 
-    def snapshot(
-        self, children: bool = False
-    ) -> Dict[str, Dict[str, object]]:
-        """All metrics as plain dicts, counters and timers alike.
-
-        ``children=True`` appends every child registry's metrics under
-        namespace-qualified names (``shard0.ingest.runs``).
-        """
+    def snapshot(self) -> Dict[str, Dict[str, object]]:
+        """All metrics as plain dicts, counters and timers alike."""
         with self._lock:
             names = sorted(
                 set(self._counters) | set(self._timers) | set(self._gauges)
@@ -376,14 +253,10 @@ class MetricsRegistry:
                 if name in self._gauges:
                     merged.update(self._gauges[name].as_dict())
                 out[name] = merged
-        if children:
-            for namespace, kid in self.children().items():
-                for name, values in kid.snapshot(children=True).items():
-                    out[self._qualify(namespace, name)] = values
         return out
 
     def reset(self) -> None:
-        """Zero every metric, children included (names survive)."""
+        """Zero every metric (names survive)."""
         with self._lock:
             for counter in self._counters.values():
                 counter.reset()
@@ -391,8 +264,6 @@ class MetricsRegistry:
                 timer.reset()
             for gauge in self._gauges.values():
                 gauge.reset()
-        for kid in self.children().values():
-            kid.reset()
 
     def log_snapshot(self, level: int = logging.DEBUG) -> None:
         """Emit the current snapshot through ``repro.obs.metrics``."""

@@ -418,12 +418,7 @@ class QueryService:
         return completed / elapsed
 
     def stats(self) -> Dict[str, Any]:
-        """Queue/throughput/latency/cache snapshot for dashboards and tests.
-
-        When the warehouse is a sharded federation its merged per-shard
-        metrics are included under ``"shards"``, so one call reports the
-        whole stack: queue, caches, reasoner, and storage fan-out.
-        """
+        """Queue/throughput/latency/cache snapshot for dashboards and tests."""
         metrics = self._metrics.current()
         timer = metrics.latency
         qps = self.qps()
@@ -434,7 +429,7 @@ class QueryService:
                 self._rejected,
                 self._completed,
             )
-        out: Dict[str, Any] = {
+        return {
             "workers": self.workers,
             "queue_depth": self._queue.qsize(),
             "queue_size": self._queue.maxsize,
@@ -450,7 +445,3 @@ class QueryService:
             "cache": self._results.stats().as_dict(),
             "reasoner": self.reasoner.stats(),
         }
-        shard_stats = getattr(self.warehouse, "shard_stats", None)
-        if callable(shard_stats):
-            out["shards"] = shard_stats()
-        return out

@@ -33,15 +33,6 @@ from .recovery import (
     run_checksum,
 )
 from .schema import DIR_IN, DIR_OUT, SQLITE_DDL, SQLITE_DEEP_PROVENANCE
-from .sharded import (
-    DEFAULT_SHARD_COUNT,
-    MANIFEST_NAME,
-    MANIFEST_VERSION,
-    ROUTERS,
-    ShardedWarehouse,
-    hash_router,
-    spec_router,
-)
 from .sqlite import SqliteWarehouse
 from .streaming import StreamingIngestor, chunk_log, stream_log
 from .stats import (
@@ -55,13 +46,9 @@ from .stats import (
 )
 
 __all__ = [
-    "DEFAULT_SHARD_COUNT",
     "DIR_IN",
     "DIR_OUT",
     "InMemoryWarehouse",
-    "MANIFEST_NAME",
-    "MANIFEST_VERSION",
-    "ROUTERS",
     "JOURNAL_COMMITTED",
     "JOURNAL_PENDING",
     "JournalEntry",
@@ -73,7 +60,6 @@ __all__ = [
     "RunStats",
     "SQLITE_DDL",
     "SQLITE_DEEP_PROVENANCE",
-    "ShardedWarehouse",
     "SqliteWarehouse",
     "StreamState",
     "StreamingIngestor",
@@ -82,7 +68,6 @@ __all__ = [
     "checksum_stored_run",
     "chunk_log",
     "dump_warehouse",
-    "hash_router",
     "hottest_modules",
     "ingest_dataset",
     "load_dataset",
@@ -98,7 +83,6 @@ __all__ = [
     "run_stats",
     "runs_executing_module",
     "save_warehouse",
-    "spec_router",
     "stream_log",
     "warehouse_report",
 ]

@@ -1,16 +1,15 @@
 """Batched, parallel ingestion: fan out the pure work, bulk-write the rows.
 
 :func:`load_dataset` is the reference ingestion semantics — one run at a
-time, one statement at a time.  This module is the high-volume path the
-ROADMAP's "sharding, batching, async" north star asks for.  It splits a
-workload into the two halves every provenance loader has:
+time, one statement at a time.  This module is the high-volume path.  It
+splits a workload into the two halves every provenance loader has:
 
 * **prepare** — per-run work that is a *pure function* of the run: graph
   validation, shaping the relational rows (steps, io, user inputs, final
   outputs), computing the raw lint findings over those rows, and — when
   ingestion-time labelling is on — the reachability labels
   (:func:`~repro.provenance.labels.labels_from_rows`).  Pure work fans out
-  over a thread or process pool and arrives back in deterministic input
+  over a thread pool and arrives back in deterministic input
   order.
 * **write** — committing a whole batch of prepared runs to the warehouse
   in a single transaction through the backends' ``store_many`` bulk API
@@ -45,7 +44,7 @@ Per-stage observability lands in the default metrics registry:
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
@@ -116,7 +115,7 @@ class PreparedRun:
 
 @dataclass
 class _PrepareTask:
-    """Input of the prepare worker (picklable for process pools)."""
+    """Input of the prepare worker."""
 
     run: WorkflowRun
     spec_id: str
@@ -209,8 +208,7 @@ def _prepare_quarantinable(task: _PrepareTask) -> PreparedRun:
 
     Only used under ``on_error="quarantine"``: a raising worker would
     poison the executor's result iterator and abort the whole dataset —
-    exactly what quarantine mode promises not to do.  Module-level so it
-    pickles for process pools.
+    exactly what quarantine mode promises not to do.
     """
     try:
         return prepare_run(task)
@@ -221,14 +219,6 @@ def _prepare_quarantinable(task: _PrepareTask) -> PreparedRun:
         )
         prepared.error = exc
         return prepared
-
-
-def _make_executor(jobs: int, pool: str) -> Executor:
-    if pool == "process":
-        return ProcessPoolExecutor(max_workers=jobs)
-    if pool == "thread":
-        return ThreadPoolExecutor(max_workers=jobs)
-    raise ValueError("pool must be 'thread' or 'process', not %r" % pool)
 
 
 def _annotate_committed(exc: BaseException, committed: List[str]) -> None:
@@ -309,7 +299,6 @@ def ingest_dataset(
     with_standard_views: bool = True,
     strict: bool = False,
     labels: bool = False,
-    pool: str = "thread",
     on_error: str = "abort",
     resume: bool = False,
     faults: Optional[FaultPlan] = None,
@@ -322,12 +311,9 @@ def ingest_dataset(
         Worker count for the prepare stage.  ``0`` (the default) prepares
         inline on the calling thread — still batched, no pool.  With
         threads the prepare of batch *k+1* overlaps the SQLite commit of
-        batch *k*; a process pool adds true CPU parallelism at pickling
-        cost.
+        batch *k*.
     batch_size:
         Runs per ``store_many`` transaction (and per strict-gate unit).
-    pool:
-        ``"thread"`` (default) or ``"process"``.
     with_standard_views / strict:
         As in :func:`~repro.warehouse.loader.load_dataset`.
     labels:
@@ -525,7 +511,7 @@ def ingest_dataset(
     prepare = _prepare_quarantinable if on_error == "quarantine" else prepare_run
     with warehouse.bulk_load():
         if jobs and jobs > 0:
-            with _make_executor(jobs, pool) as executor:
+            with ThreadPoolExecutor(max_workers=jobs) as executor:
                 # map() preserves input order, so batches are committed in
                 # workload order no matter which worker finishes first.
                 _consume(iter(executor.map(prepare, tasks)))

@@ -378,15 +378,7 @@ def recover(warehouse: ProvenanceWarehouse) -> RecoveryReport:
     Pending entries whose run is absent (torn journal, lint rule
     ``WH041``) are reported but left in place: they are precisely the
     work-list ``load_dataset(resume=True)`` needs.
-
-    A warehouse exposing ``recover_shards`` (the sharded federation)
-    takes over the whole procedure: each shard runs this function
-    locally on its own writer thread, in parallel, and the reports merge
-    into one.
     """
-    recover_shards = getattr(warehouse, "recover_shards", None)
-    if recover_shards is not None:
-        return recover_shards()
     registry = get_registry()
     integrity = warehouse.integrity_report(repair=True)
     report = RecoveryReport(

@@ -14,6 +14,7 @@ path for a persistent warehouse.
 
 from __future__ import annotations
 
+import os
 import sqlite3
 import threading
 import uuid
@@ -56,6 +57,18 @@ if TYPE_CHECKING:  # pragma: no cover — annotation-only, avoids an import cycl
     from .pipeline import PreparedRun
 
 
+def _directory_message(path: str) -> str:
+    """Why a directory cannot open as a warehouse, and what to open instead."""
+    message = "%s is a directory, not a SQLite warehouse file" % path
+    if os.path.isfile(os.path.join(path, "shard_manifest.json")):
+        message += (
+            "; it holds a sharded federation, which this version no longer"
+            " supports: open each shard-NNN.db inside it on its own as a"
+            " plain warehouse"
+        )
+    return message
+
+
 class SqliteWarehouse(ProvenanceWarehouse):
     """SQLite implementation of :class:`ProvenanceWarehouse`.
 
@@ -63,7 +76,8 @@ class SqliteWarehouse(ProvenanceWarehouse):
     ----------
     path:
         Database location; ``":memory:"`` (default) keeps everything in
-        RAM, any other string is a filesystem path.
+        RAM, any other string is a filesystem path.  A directory raises
+        :class:`WarehouseError`.
     timing:
         When true, every SQL statement executed on this connection is
         counted and timed in the default metrics registry under
@@ -113,6 +127,8 @@ class SqliteWarehouse(ProvenanceWarehouse):
         bulk: bool = False,
         faults: Optional[FaultPlan] = None,
     ) -> None:
+        if os.path.isdir(path):
+            raise WarehouseError(_directory_message(path))
         self._path = path
         #: Shared-cache URI for in-memory databases, so reader connections
         #: attach to the same database instead of fresh empty ones; the

@@ -126,9 +126,7 @@ class StreamingIngestor:
     Parameters
     ----------
     warehouse:
-        Any backend implementing the streaming hooks — memory, SQLite, or
-        the sharded federation (appends route to the owning shard's
-        writer thread).
+        Any backend implementing the streaming hooks — memory or SQLite.
     reasoner:
         Optional :class:`~repro.provenance.reasoner.ProvenanceReasoner`
         (or anything with ``refresh_run(run_id)``): notified after every

@@ -17,20 +17,17 @@ Subcommands::
     zoom lint ...                     statically analyse specs/warehouses
     zoom serve ...                    answer a concurrent query load
     zoom bench-serve ...              benchmark the query service
-    zoom shard ...                    inspect a sharded warehouse directory
     zoom dump / zoom restore          archive a warehouse to/from JSON
 
-Every subcommand works against a SQLite warehouse file — or a sharded
-warehouse directory (``zoom load --shards N``); ``--db`` transparently
-opens either layout — so a shell session can reproduce the paper's
-workflow end to end without writing Python.
+Every subcommand works against a SQLite warehouse file, so a shell
+session can reproduce the paper's workflow end to end without writing
+Python.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -101,25 +98,6 @@ def _read_spec(path: str) -> WorkflowSpec:
         return WorkflowSpec.from_dict(json.load(handle))
 
 
-def _open_warehouse(path: str, shards: Optional[int] = None,
-                    router: Optional[str] = None, timing: bool = False):
-    """Open ``path`` as a single-file or a sharded warehouse.
-
-    A directory holding ``shard_manifest.json`` — or any path given an
-    explicit ``shards`` count — opens as a
-    :class:`~repro.warehouse.sharded.ShardedWarehouse`; everything else
-    stays the plain single-file :class:`SqliteWarehouse`.  Both conform
-    to the same interface, so every subcommand accepts either layout.
-    """
-    from ..warehouse.sharded import MANIFEST_NAME, ShardedWarehouse
-
-    if shards is not None or os.path.isfile(os.path.join(path, MANIFEST_NAME)):
-        return ShardedWarehouse(
-            path, shards=shards, router=router, timing=timing
-        )
-    return SqliteWarehouse(path, timing=timing)
-
-
 def _cmd_load(args: argparse.Namespace) -> int:
     """Simulate runs of a spec and load everything into a warehouse file.
 
@@ -137,9 +115,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         args.jobs > 0 or args.batch > 0
         or args.resume or args.on_error != "abort"
     )
-    with _open_warehouse(
-        args.db, shards=args.shards, router=args.router
-    ) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         if use_pipeline:
             from ..warehouse.pipeline import DEFAULT_BATCH_SIZE, ingest_dataset
 
@@ -192,7 +168,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 def _cmd_view(args: argparse.Namespace) -> int:
     """Build a user view from relevant modules; optionally store it."""
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         session = Session(warehouse, args.spec_id, user=args.user)
         session.set_relevant(args.relevant)
         view = session.view
@@ -219,7 +195,7 @@ def _cmd_view(args: argparse.Namespace) -> int:
 
 def _cmd_prov(args: argparse.Namespace) -> int:
     """Answer a deep-provenance query through a view."""
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         spec_id = warehouse.run_spec_id(args.run_id)
         session = Session(
             warehouse, spec_id, user=args.user, strategy=args.strategy
@@ -253,7 +229,7 @@ def _cmd_prov(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     """Emit a DOT rendering of a stored spec or run."""
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         if args.run_id:
             print(run_to_dot(warehouse.get_run(args.run_id)))
         else:
@@ -282,7 +258,7 @@ def _cmd_opm(args: argparse.Namespace) -> int:
     """Export a run's provenance as an OPM document (one account/view)."""
     from ..provenance.opm import export_opm, to_json
 
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         composite_runs = _views_for_run(warehouse, args)
         document = export_opm(composite_runs, run_id=args.run_id)
         text = to_json(document)
@@ -299,7 +275,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     """Print the re-execution plan after changing some user inputs."""
     from ..provenance.invalidation import ReexecutionPlanner
 
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         planner = ReexecutionPlanner(warehouse)
         if args.relevant:
             spec = warehouse.get_spec(warehouse.run_spec_id(args.run_id))
@@ -323,7 +299,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from ..core.view import admin_view
     from ..provenance.rundiff import diff_runs
 
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         run_a = warehouse.get_run(args.run_a)
         run_b = warehouse.get_run(args.run_b)
         if args.relevant:
@@ -379,7 +355,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Print aggregate statistics of a warehouse."""
     from ..warehouse.stats import hottest_modules, warehouse_report
 
-    with _open_warehouse(args.db, timing=args.probe_run is not None) as warehouse:
+    with SqliteWarehouse(args.db, timing=args.probe_run is not None) as warehouse:
         report = warehouse_report(warehouse)
         print("warehouse %s" % args.db)
         print("  specs: %d, views: %d, runs: %d"
@@ -405,7 +381,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_index(args: argparse.Namespace) -> int:
     """Manage the compact reachability-label index of a warehouse."""
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         run_ids = (
             warehouse.list_runs() if args.all
             else args.run_id or warehouse.list_runs()
@@ -443,7 +419,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     """Load a foreign trace file (JSON Lines) into the warehouse."""
     from ..run.trace import read_trace
 
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         log = read_trace(args.trace)
         run_id = warehouse.store_log(log, args.spec_id, run_id=args.run_id)
         print("ingested trace as run %r (%d events)" % (run_id, len(log)))
@@ -469,8 +445,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("zoom lint: %s" % exc.args[0], file=sys.stderr)
         return 2
     linter = Linter(config=config, check_minimality=args.minimality)
-    if args.shard_skew is not None:
-        linter.shard_skew_factor = args.shard_skew
     if args.open_run_age is not None:
         linter.open_run_age = args.open_run_age
     report = LintReport()
@@ -478,7 +452,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         with open(args.spec) as handle:
             report.merge(linter.lint_spec(json.load(handle)))
     if args.db:
-        with _open_warehouse(args.db) as warehouse:
+        with SqliteWarehouse(args.db) as warehouse:
             report.merge(linter.lint_warehouse(
                 warehouse,
                 spec_ids=args.spec_id or None,
@@ -500,7 +474,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     """Repair a warehouse after a crashed load (journal + integrity)."""
     from ..warehouse.recovery import recover
 
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         report = recover(warehouse)
         print(report.summary())
         return 0 if report.integrity_ok else 1
@@ -508,7 +482,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     """Inspect runs open for streaming appends."""
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         states = warehouse.stream_states()
         if not states:
             print("no open streams")
@@ -529,7 +503,7 @@ def _cmd_quarantine(args: argparse.Namespace) -> int:
     """Inspect and retry runs quarantined by ``load --on-error quarantine``."""
     from ..warehouse.recovery import retry_quarantined
 
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         if args.action == "list":
             run_ids = warehouse.quarantine_list()
             if not run_ids:
@@ -577,7 +551,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from ..serve import QueryService
     from ..serve.bench import _drive, _phase_summary
 
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         run_ids = args.run_id or sorted(warehouse.list_runs())
         if not run_ids:
             print("no runs in %s" % args.db, file=sys.stderr)
@@ -652,70 +626,11 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard(args: argparse.Namespace) -> int:
-    """Inspect a sharded warehouse: layout, balance, rebalance cost."""
-    from ..warehouse.sharded import (
-        MANIFEST_NAME,
-        ROUTERS,
-        ShardedWarehouse,
-        hash_router,
-    )
-
-    if not os.path.isfile(os.path.join(args.db, MANIFEST_NAME)):
-        print("zoom shard: %s has no %s (not a sharded warehouse;"
-              " create one with 'zoom load --shards N')"
-              % (args.db, MANIFEST_NAME), file=sys.stderr)
-        return 2
-    with ShardedWarehouse(args.db) as warehouse:
-        health = warehouse.shard_health()
-        counts = health["runs_per_shard"]
-        total = sum(counts.values())
-        if args.action == "status":
-            print("directory: %s" % args.db)
-            print("shards:    %d  (routing: %s)"
-                  % (health["declared"], health["routing"]))
-            print("runs:      %d" % total)
-            for index in sorted(counts):
-                print("  shard-%03d.db  %d run(s)" % (index, counts[index]))
-            for name in health["missing"]:
-                print("  MISSING %s (its runs are unreachable)" % name)
-            for name in health["extra"]:
-                print("  EXTRA   %s (the router never consults it)" % name)
-            return 1 if (health["missing"] or health["extra"]) else 0
-
-        # rebalance-check: report the current skew against the threshold
-        # and, with --shards M, the fraction of runs that would migrate.
-        busiest = max(counts.values()) if counts else 0
-        mean = total / len(counts) if counts else 0.0
-        ratio = busiest / mean if mean else 0.0
-        print("runs per shard: %s" % json.dumps(
-            {"shard-%03d" % i: counts[i] for i in sorted(counts)},
-            sort_keys=True))
-        print("skew: busiest=%d mean=%.1f ratio=%.2f (threshold %.2f)"
-              % (busiest, mean, ratio, args.skew))
-        skewed = len(counts) > 1 and mean > 0 and ratio > args.skew
-        if skewed:
-            print("imbalanced: dump/restore into a fresh federation or"
-                  " switch routers (see docs/sharding.md)")
-        if args.shards is not None and args.shards != warehouse.shard_count:
-            router = ROUTERS.get(warehouse.routing, hash_router)
-            moved = sum(
-                1 for run_id in warehouse.list_runs()
-                if router(run_id, args.shards)
-                != router(run_id, warehouse.shard_count)
-            )
-            pct = 100.0 * moved / total if total else 0.0
-            print("rebalance %d -> %d shard(s): %d/%d run(s) would move"
-                  " (%.1f%%)"
-                  % (warehouse.shard_count, args.shards, moved, total, pct))
-        return 1 if skewed else 0
-
-
 def _cmd_dump(args: argparse.Namespace) -> int:
     """Archive a SQLite warehouse to a JSON file."""
     from ..warehouse.jsonfile import save_warehouse
 
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         save_warehouse(warehouse, args.out)
         print("dumped %d spec(s), %d run(s) to %s"
               % (len(warehouse.list_specs()), len(warehouse.list_runs()),
@@ -727,7 +642,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     """Rebuild a SQLite warehouse from a JSON archive."""
     from ..warehouse.jsonfile import load_warehouse
 
-    with _open_warehouse(args.db) as warehouse:
+    with SqliteWarehouse(args.db) as warehouse:
         load_warehouse(args.archive, into=warehouse)
         print("restored %d spec(s), %d run(s) into %s"
               % (len(warehouse.list_specs()), len(warehouse.list_runs()),
@@ -770,15 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--resume", action="store_true",
                       help="continue a crashed load: recover the ingest"
                            " journal, then skip already-committed runs")
-    load.add_argument("--shards", type=int, default=None, metavar="N",
-                      help="load into a sharded warehouse directory of N"
-                           " SQLite files (creates it when absent; the"
-                           " manifest pins N on reopen)")
-    load.add_argument("--router", choices=["hash", "spec"], default=None,
-                      help="routing scheme when creating a sharded"
-                           " warehouse: uniform run-id hash (default) or"
-                           " spec-prefix affinity; recorded in the"
-                           " manifest and honoured on reopen")
     load.add_argument("--on-error", choices=["abort", "quarantine"],
                       default="abort",
                       help="what to do when a run fails ingestion:"
@@ -884,11 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--source", nargs="*", default=None, metavar="PATH",
                       help="Python files/directories to check with the"
                            " SRC0xx concurrency rules (e.g. src/repro)")
-    lint.add_argument("--shard-skew", type=float, default=None,
-                      metavar="FACTOR",
-                      help="WH045 threshold: warn when the busiest shard"
-                           " holds more than FACTOR times the mean runs"
-                           " per shard")
     lint.add_argument("--open-run-age", type=float, default=None,
                       metavar="SECONDS",
                       help="WH046 threshold: flag streaming runs open for"
@@ -968,23 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--out", default=None,
                              help="write the JSON payload here")
 
-    shard = sub.add_parser(
-        "shard",
-        help="inspect a sharded warehouse directory",
-    )
-    shard.add_argument("action", choices=["status", "rebalance-check"])
-    shard.add_argument("--db", required=True,
-                       help="sharded warehouse directory (holds"
-                            " shard_manifest.json)")
-    shard.add_argument("--skew", type=float, default=2.0,
-                       help="imbalance threshold for rebalance-check:"
-                            " busiest/mean ratio above this exits nonzero"
-                            " (default 2.0, matching lint rule WH045)")
-    shard.add_argument("--shards", type=int, default=None, metavar="M",
-                       help="rebalance-check only: also report how many"
-                            " runs would migrate if the federation were"
-                            " rebuilt with M shards")
-
     dump = sub.add_parser("dump", help="archive a warehouse to JSON")
     dump.add_argument("--db", required=True)
     dump.add_argument("--out", required=True)
@@ -1015,7 +899,6 @@ _COMMANDS = {
     "quarantine": _cmd_quarantine,
     "serve": _cmd_serve,
     "bench-serve": _cmd_bench_serve,
-    "shard": _cmd_shard,
     "dump": _cmd_dump,
     "restore": _cmd_restore,
 }

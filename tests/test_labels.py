@@ -25,7 +25,6 @@ from repro.provenance.labels import (
 from repro.provenance.queries import deep_provenance
 from repro.provenance.reasoner import ProvenanceReasoner
 from repro.warehouse.memory import InMemoryWarehouse
-from repro.warehouse.sharded import ShardedWarehouse
 from repro.warehouse.sqlite import SqliteWarehouse
 from repro.workloads.phylogenomic import (
     joe_view,
@@ -42,12 +41,9 @@ def backend(request):
 
 
 @pytest.fixture
-def warehouse(backend, tmp_path):
+def warehouse(backend):
     if backend == "memory":
         yield InMemoryWarehouse()
-    elif backend == "sharded":
-        with ShardedWarehouse(str(tmp_path / "fed"), shards=2) as built:
-            yield built
     else:
         with SqliteWarehouse() as built:
             yield built
@@ -230,7 +226,6 @@ class TestLookupParity:
             assert warehouse.label_lookup(run_id, data_id) == \
                 deep_provenance(reference, data_id)
 
-    @pytest.mark.parametrize("backend", ["memory", "sharded", "sqlite"])
     def test_lookup_equals_the_closure_lookup(self, loaded):
         warehouse, _spec, run, _spec_id, run_id = loaded
         warehouse.build_label_index(run_id)

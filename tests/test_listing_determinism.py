@@ -1,8 +1,8 @@
 """Regression tests: every listing API is deterministically ordered.
 
-Merged scatter-gather listings are where a sharded warehouse could
-silently start depending on thread-completion order, so this suite pins
-the contract for *every* backend: ``list_specs``/``list_runs``/
+A listing that follows storage or insertion order would differ between
+backends and between reopens, so this suite pins the contract for
+*every* backend: ``list_specs``/``list_runs``/
 ``list_views``/``quarantine_list`` and ``find_annotated`` return sorted
 lists, identical across repeated calls, across reopens, and across
 backends holding the same contents.  Insertion order is deliberately
@@ -17,21 +17,18 @@ import pytest
 
 from repro.warehouse.loader import load_dataset
 from repro.warehouse.memory import InMemoryWarehouse
-from repro.warehouse.sharded import ShardedWarehouse
 from repro.warehouse.sqlite import SqliteWarehouse
 from repro.workloads.classes import RUN_CLASSES, WORKFLOW_CLASSES
 from repro.workloads.generator import generate_workflow
 from repro.workloads.runs import generate_run
 
-BACKENDS = ("memory", "sqlite", "sharded")
+BACKENDS = ("memory", "sqlite")
 
 
 def make_warehouse(backend, tmp_path):
     if backend == "memory":
         return InMemoryWarehouse()
-    if backend == "sqlite":
-        return SqliteWarehouse(str(tmp_path / "wh.db"))
-    return ShardedWarehouse(str(tmp_path / "fed"), shards=4)
+    return SqliteWarehouse(str(tmp_path / "wh.db"))
 
 
 def scrambled_workload(seed=23):
@@ -120,15 +117,14 @@ class TestListingsAgreeAcrossBackends:
                 if close:
                     close()
         assert listings["sqlite"] == listings["memory"]
-        assert listings["sharded"] == listings["sqlite"]
 
-    def test_sharded_listing_stable_across_reopen(self, tmp_path):
-        directory = str(tmp_path / "fed")
-        with ShardedWarehouse(directory, shards=4) as warehouse:
+    def test_listing_stable_across_reopen(self, tmp_path):
+        path = str(tmp_path / "wh.db")
+        with SqliteWarehouse(path) as warehouse:
             load_dataset(warehouse, scrambled_workload())
             before = (warehouse.list_specs(), warehouse.list_runs())
         for _ in range(3):
-            with ShardedWarehouse(directory) as reopened:
+            with SqliteWarehouse(path) as reopened:
                 assert (
                     reopened.list_specs(), reopened.list_runs()
                 ) == before

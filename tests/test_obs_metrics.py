@@ -130,83 +130,3 @@ class TestReport:
             {"views": {"hit_rate": 0.5}, "timer": {"mean_ms": 3.0}}
         )
         assert rates == {"views": 0.5}
-
-
-class TestMergeAndChildren:
-    def test_timer_merge_combines_aggregates(self, registry):
-        a = registry.timer("a")
-        b = registry.timer("b")
-        a.observe(0.010)
-        b.observe(0.030)
-        b.observe(0.002)
-        a.merge(b)
-        assert a.count == 3
-        assert a.total == pytest.approx(0.042)
-        assert a.min == pytest.approx(0.002)
-        assert a.max == pytest.approx(0.030)
-
-    def test_timer_merge_empty_is_noop(self, registry):
-        a = registry.timer("a")
-        a.observe(0.5)
-        a.merge(registry.timer("empty"))
-        assert a.count == 1
-        assert a.min == pytest.approx(0.5)
-
-    def test_registry_merge_adds_counters_and_timers(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.counter("c").increment(2)
-        right.counter("c").increment(3)
-        right.timer("t").observe(0.1)
-        left.merge(right)
-        assert left.counter("c").value == 5
-        assert left.timer("t").count == 1
-
-    def test_registry_merge_gauges_last_wins(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.gauge("depth").set(4)
-        right.gauge("depth").set(9)
-        left.merge(right)
-        assert left.gauge("depth").value == 9
-
-    def test_merge_with_prefix_namespaces_names(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        right.counter("runs").increment(7)
-        left.merge(right, prefix="shard3")
-        assert left.counter("shard3.runs").value == 7
-
-    def test_child_is_cached_and_namespaced(self):
-        parent = MetricsRegistry()
-        kid = parent.child("shard0")
-        assert kid is parent.child("shard0")
-        assert kid.namespace == "shard0"
-        assert list(parent.children()) == ["shard0"]
-
-    def test_merged_flat_sums_across_children(self):
-        parent = MetricsRegistry()
-        for i in range(3):
-            parent.child("shard%d" % i).counter("ingest.runs").increment(i + 1)
-        flat = parent.merged()
-        assert flat.counter("ingest.runs").value == 6
-
-    def test_merged_namespaced_keeps_prefixes(self):
-        parent = MetricsRegistry()
-        parent.child("shard0").counter("runs").increment(2)
-        parent.child("shard1").counter("runs").increment(5)
-        scoped = parent.merged(namespaced=True)
-        assert scoped.counter("shard0.runs").value == 2
-        assert scoped.counter("shard1.runs").value == 5
-
-    def test_snapshot_with_children_qualifies_names(self):
-        parent = MetricsRegistry()
-        parent.counter("top").increment()
-        parent.child("shard0").counter("runs").increment(4)
-        snap = parent.snapshot(children=True)
-        assert snap["top"]["count"] == 1
-        assert snap["shard0.runs"]["count"] == 4
-        assert "runs" not in snap
-
-    def test_reset_recurses_into_children(self):
-        parent = MetricsRegistry()
-        parent.child("shard0").counter("runs").increment(4)
-        parent.reset()
-        assert parent.child("shard0").counter("runs").value == 0

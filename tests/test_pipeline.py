@@ -153,14 +153,6 @@ class TestParity:
         assert [r.spec_id for r in records] == ["wf0", "wf1", "wf2"]
         assert all(len(r.run_ids) == 4 for r in records)
 
-    def test_process_pool_smoke(self, tmp_path):
-        items = small_workload(n_specs=1, n_runs=2)
-        serial = InMemoryWarehouse()
-        load_dataset(serial, items)
-        pooled = InMemoryWarehouse()
-        ingest_dataset(pooled, items, jobs=2, pool="process")
-        assert dump(pooled) == dump(serial)
-
     def test_run_against_wrong_spec_rejected(self):
         items = small_workload(n_specs=2, n_runs=1)
         (spec_a, runs_a), (_spec_b, runs_b) = items

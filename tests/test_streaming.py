@@ -2,7 +2,7 @@
 
 The central guarantee under test: a producer streams a run epoch by
 epoch, a kill lands at any of the five ``stream.*`` fault sites, on any
-backend (memory, SQLite, sharded) — and ``recover()`` +
+backend (memory, SQLite) — and ``recover()`` +
 ``open_run(resume=True)`` + a replay of the same append sequence
 converge to a warehouse fingerprint byte-identical to BOTH an
 uninterrupted stream AND a cold batch load of the finished logs.  On
@@ -31,7 +31,6 @@ from repro.run.log import EventLog, log_from_run
 from repro.warehouse.loader import load_dataset
 from repro.warehouse.memory import InMemoryWarehouse
 from repro.warehouse.recovery import checksum_stored_run, recover
-from repro.warehouse.sharded import ShardedWarehouse
 from repro.warehouse.sqlite import SqliteWarehouse
 from repro.warehouse.streaming import StreamingIngestor, chunk_log, stream_log
 from repro.workloads.classes import RUN_CLASSES, WORKFLOW_CLASSES
@@ -48,7 +47,7 @@ STREAM_SITES = (
     "stream.finalize",
 )
 
-BACKENDS = ("memory", "sqlite", "sharded")
+BACKENDS = ("memory", "sqlite")
 
 MAX_EVENTS = 4
 
@@ -108,10 +107,7 @@ def fingerprint(warehouse):
 def make_warehouse(backend, tmp_path, faults=None):
     if backend == "memory":
         return InMemoryWarehouse(faults=faults)
-    if backend == "sqlite":
-        return SqliteWarehouse(str(tmp_path / "stream.sqlite"), faults=faults)
-    return ShardedWarehouse(str(tmp_path / "stream-fed"), shards=2,
-                            faults=faults)
+    return SqliteWarehouse(str(tmp_path / "stream.sqlite"), faults=faults)
 
 
 def reopen(backend, tmp_path, warehouse):
@@ -120,9 +116,7 @@ def reopen(backend, tmp_path, warehouse):
         warehouse.faults = None
         return warehouse
     warehouse.close()
-    if backend == "sqlite":
-        return SqliteWarehouse(str(tmp_path / "stream.sqlite"))
-    return ShardedWarehouse(str(tmp_path / "stream-fed"))
+    return SqliteWarehouse(str(tmp_path / "stream.sqlite"))
 
 
 def stream_workload(warehouse, workload, *, faults=None, resume=False):
@@ -695,46 +689,6 @@ class TestWatch:
         collected = list(session.watch("sw/done").updates(interval=0.0))
         assert len(collected) == 1
         assert collected[0].final
-
-
-class TestShardedStreaming:
-    def test_appends_route_to_owner_and_recover_merges(
-        self, workload, reference, registry, tmp_path
-    ):
-        warehouse = make_warehouse("sharded", tmp_path)
-        stream_workload(warehouse, workload)
-        assert fingerprint(warehouse) == reference
-
-        report = warehouse.recover_shards()
-        assert report.clean
-        assert report.integrity_ok
-        warehouse.close()
-
-    def test_recover_on_facade_delegates_to_shards(
-        self, registry, tmp_path
-    ):
-        spec, log = _chain_fixture()
-        plan = FaultPlan().crash_at("stream.epoch.mark")
-        warehouse = make_warehouse("sharded", tmp_path, faults=plan)
-        spec_id = warehouse.store_spec(spec)
-        ingestor = StreamingIngestor(warehouse, faults=plan)
-        ingestor.open_run("sw/s", spec_id)
-        with pytest.raises(InjectedCrash):
-            ingestor.ingest_events(
-                "sw/s", chunk_log(log, MAX_EVENTS)[0]
-            )
-        warehouse = reopen("sharded", tmp_path, warehouse)
-
-        report = recover(warehouse)  # recover() delegates to the facade
-        assert report.stream_rolled_forward == ["sw/s"]
-        resumed = StreamingIngestor(warehouse)
-        checksum = stream_log(
-            resumed, "sw/s", spec_id, log,
-            max_events=MAX_EVENTS, resume=True,
-        )
-        assert checksum == checksum_stored_run(warehouse, "sw/s")
-        assert warehouse.stream_states() == {}
-        warehouse.close()
 
 
 class TestLintRules:

@@ -213,6 +213,19 @@ class TestSqliteSpecifics:
         with SqliteWarehouse(path) as warehouse:
             assert warehouse.get_spec(spec_id) == spec
 
+    @pytest.mark.parametrize("manifest", [False, True],
+                             ids=["empty", "old-federation"])
+    def test_directory_path_raises_warehouse_error(self, tmp_path, manifest):
+        directory = tmp_path / "fed"
+        directory.mkdir()
+        if manifest:
+            (directory / "shard_manifest.json").write_text("{}")
+        with pytest.raises(WarehouseError, match="is a directory") as caught:
+            SqliteWarehouse(str(directory))
+        message = str(caught.value)
+        assert str(directory) in message
+        assert ("shard-NNN.db" in message) == manifest
+
     def test_multiple_producers_is_corruption_not_a_coin_flip(self):
         """A bare fetchone() used to pick one producer nondeterministically;
         a corrupt io table must be reported, not silently queried."""
