@@ -21,20 +21,16 @@ reasoner strategies:
 One warehouse holds every run with its labels; the recursive strategies
 never read the labels, so all three strategies share it.
 
-The final test writes ``BENCH_query_time.json`` at the repository root:
-``times_ms`` (mean ms/query per kind and strategy), ``build_ms`` (total
-label build time per kind) and ``storage_bytes`` (label rows against the
-runs' own ``io`` rows, summed text lengths).  It asserts the amortisation
-claim (on medium and large runs a labeled query is at least twice as fast
-as a cold cached one) and the compactness claim (on large runs the labels
-take at least five times less space than the ``io`` rows they index).
+The final test prints the mean ms/query per kind and strategy and the
+total label build time per kind.  It asserts the amortisation claim (on
+medium and large runs a labeled query is at least twice as fast as a cold
+cached one).  The compactness claim (labels at most a fifth of the ``io``
+rows they index on large runs) is a tier-1 test in ``tests/test_labels.py``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -48,28 +44,6 @@ STRATEGIES = ["cached", "uncached", "labeled"]
 
 _TIMES = {}
 _BUILD_MS = {}
-_STORAGE = {}
-
-_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_query_time.json"
-
-
-def _io_bytes(warehouse, run_ids):
-    """Total text bytes of the ``io`` rows of ``run_ids``."""
-    total = 0
-    for run_id in run_ids:
-        for row in warehouse.io_rows(run_id):
-            total += len(run_id) + sum(len(column) for column in row)
-    return total
-
-
-def _label_bytes(warehouse, run_ids):
-    """Total text bytes of the reachability-label rows of ``run_ids``."""
-    total = 0
-    for run_id in run_ids:
-        for step_id, pre, post, parent, rest in warehouse.label_rows_raw(run_id):
-            total += (len(run_id) + len(step_id) + len(str(pre))
-                      + len(str(post)) + len(parent) + len(rest))
-    return total
 
 
 @pytest.fixture(scope="module")
@@ -88,12 +62,7 @@ def labeled_sqlite(workload: Workload):
             warehouse.build_label_index(run_id)
             build_ms[kind] += (time.perf_counter() - start) * 1000
             handles[kind].append(run_id)
-    for kind in KINDS:
-        _BUILD_MS[kind] = build_ms[kind]
-        _STORAGE[kind] = {
-            "labeled": _label_bytes(warehouse, handles[kind]),
-            "io": _io_bytes(warehouse, handles[kind]),
-        }
+    _BUILD_MS.update(build_ms)
     yield warehouse, handles
     warehouse.close()
 
@@ -127,7 +96,7 @@ def test_query_time_per_kind(benchmark, labeled_sqlite, strategy, kind):
 
 
 def test_query_time_report(benchmark, labeled_sqlite):
-    """Emit BENCH_query_time.json; the labels must amortise on big runs."""
+    """Print the time matrix; the labels must amortise on big runs."""
 
     def snapshot():
         return dict(_TIMES)
@@ -135,21 +104,10 @@ def test_query_time_report(benchmark, labeled_sqlite):
     times = benchmark.pedantic(snapshot, rounds=1, iterations=1)
     if len(times) < len(KINDS) * len(STRATEGIES):
         pytest.skip("needs the full (kind x strategy) matrix in one session")
-    payload = {
-        "times_ms": {
-            kind: {
-                strategy: round(times[(kind, strategy)], 3)
-                for strategy in STRATEGIES
-            }
-            for kind in KINDS
-        },
-        "build_ms": {
-            kind: {"labeled": round(_BUILD_MS[kind], 3)} for kind in KINDS
-        },
-        "storage_bytes": {kind: dict(_STORAGE[kind]) for kind in KINDS},
+    times_ms = {
+        kind: {strategy: times[(kind, strategy)] for strategy in STRATEGIES}
+        for kind in KINDS
     }
-    _JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    times_ms = payload["times_ms"]
     print_table(
         "Query time, mean ms/query (paper: 23 ms -> 213 ms -> 1.1 s)",
         ["kind"] + STRATEGIES,
@@ -157,13 +115,9 @@ def test_query_time_report(benchmark, labeled_sqlite):
          for kind in KINDS],
     )
     print_table(
-        "Label build time and storage (labels vs io rows)",
-        ["kind", "labeled ms", "labeled B", "io B"],
-        [[kind,
-          "%.1f" % payload["build_ms"][kind]["labeled"],
-          payload["storage_bytes"][kind]["labeled"],
-          payload["storage_bytes"][kind]["io"]]
-         for kind in KINDS],
+        "Label build time",
+        ["kind", "labeled ms"],
+        [[kind, "%.1f" % _BUILD_MS[kind]] for kind in KINDS],
     )
     # Times grow with run kind under the recursive strategies.
     assert times_ms["small"]["cached"] <= times_ms["medium"]["cached"] \
@@ -174,7 +128,3 @@ def test_query_time_report(benchmark, labeled_sqlite):
         assert times_ms[kind]["labeled"] * 2 <= times_ms[kind]["cached"], (
             kind, times_ms[kind],
         )
-    # The compactness claim: on the deepest runs the labels take at least
-    # five times less space than the io rows they index.
-    storage = payload["storage_bytes"]["large"]
-    assert storage["labeled"] * 5 <= storage["io"], storage

@@ -17,7 +17,6 @@ from .loader import LoadedSpec, load_dataset, load_simulation, load_spec
 from .memory import InMemoryWarehouse
 from .pipeline import (
     PreparedRun,
-    build_lineage_indexes,
     ingest_dataset,
     prepare_run,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "StreamState",
     "StreamingIngestor",
     "WarehouseReport",
-    "build_lineage_indexes",
     "checksum_stored_run",
     "chunk_log",
     "dump_warehouse",

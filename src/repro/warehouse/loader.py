@@ -4,7 +4,9 @@ The ZOOM architecture (paper Fig. 8) has the system designer load workflow
 specifications and view definitions, while run information arrives from
 workflow logs.  This module packages those ingestion paths: one call loads
 a specification together with its standard views, another loads a finished
-simulation (run + log), and :func:`load_dataset` ingests a whole workload.
+simulation (run + log), and :func:`load_dataset` ingests a whole workload,
+either run by run or through the batched, journalled pipeline of
+:mod:`repro.warehouse.pipeline`.
 
 Every ingestion path runs the artifacts through :mod:`repro.lint` first.
 By default findings only *warn*: they are counted per rule id in the
@@ -124,7 +126,6 @@ def load_dataset(
     items: Iterable[Tuple[WorkflowSpec, Sequence[SimulationResult]]],
     with_standard_views: bool = True,
     strict: bool = False,
-    parallel: Optional[int] = None,
     batch_size: Optional[int] = None,
     resume: bool = False,
     on_error: str = "abort",
@@ -136,29 +137,25 @@ def load_dataset(
     ``strict`` is forwarded to every :func:`load_spec` /
     :func:`load_simulation` call.
 
-    Passing ``parallel`` (prepare-stage worker count; ``0`` = inline) or
-    ``batch_size`` (runs per bulk transaction) routes the workload through
-    the batched pipeline of :func:`repro.warehouse.pipeline.ingest_dataset`,
-    which produces identical warehouse contents and lint findings several
-    times faster on large workloads.  ``resume=True`` (continue a crashed
-    load: recover the journal, skip already-committed runs) and
-    ``on_error="quarantine"`` (divert failing runs instead of aborting)
-    also route through the pipeline — the crash-safety machinery lives
-    there.  With everything left at the defaults the run-at-a-time loop
-    below remains the reference semantics.
+    Passing ``batch_size`` (runs per bulk transaction, at least 1) routes
+    the workload through the batched pipeline of
+    :func:`repro.warehouse.pipeline.ingest_dataset`, which produces
+    identical warehouse contents and lint findings faster on large
+    workloads.  ``resume=True`` (continue a crashed load: recover the
+    journal, skip already-committed runs) and ``on_error="quarantine"``
+    (divert failing runs instead of aborting) also route through the
+    pipeline — the crash-safety machinery lives there.  With everything
+    left at the defaults the run-at-a-time loop below remains the
+    reference semantics.
     """
-    if (
-        parallel is not None
-        or batch_size is not None
-        or resume
-        or on_error != "abort"
-    ):
+    if batch_size is not None or resume or on_error != "abort":
         from .pipeline import DEFAULT_BATCH_SIZE, ingest_dataset
 
         return ingest_dataset(
             warehouse, items,
-            jobs=parallel or 0,
-            batch_size=batch_size or DEFAULT_BATCH_SIZE,
+            batch_size=(
+                DEFAULT_BATCH_SIZE if batch_size is None else batch_size
+            ),
             with_standard_views=with_standard_views,
             strict=strict,
             resume=resume, on_error=on_error,

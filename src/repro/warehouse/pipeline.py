@@ -1,4 +1,4 @@
-"""Batched, parallel ingestion: fan out the pure work, bulk-write the rows.
+"""Batched ingestion: shape each run once, bulk-write the rows.
 
 :func:`load_dataset` is the reference ingestion semantics — one run at a
 time, one statement at a time.  This module is the high-volume path.  It
@@ -8,17 +8,16 @@ splits a workload into the two halves every provenance loader has:
   validation, shaping the relational rows (steps, io, user inputs, final
   outputs), computing the raw lint findings over those rows, and — when
   ingestion-time labelling is on — the reachability labels
-  (:func:`~repro.provenance.labels.labels_from_rows`).  Pure work fans out
-  over a thread pool and arrives back in deterministic input
-  order.
+  (:func:`~repro.provenance.labels.labels_from_rows`).  Runs are
+  prepared inline, one after another, in workload order.
 * **write** — committing a whole batch of prepared runs to the warehouse
   in a single transaction through the backends' ``store_many`` bulk API
   (prepared ``executemany`` over the pre-shaped tuples on SQLite).
 
 The pipeline guarantees **result parity with the serial path**: the same
-workload ingested through :func:`ingest_dataset` — at any ``jobs`` /
-``batch_size`` — produces byte-identical warehouse rows, identical lint
-findings and identical ``lint.<RULE_ID>`` metric counts as a plain
+workload ingested through :func:`ingest_dataset` — at any ``batch_size``
+— produces byte-identical warehouse rows, identical lint findings and
+identical ``lint.<RULE_ID>`` metric counts as a plain
 :func:`~repro.warehouse.loader.load_dataset` call.  ``tests/test_pipeline.py``
 asserts this on generated workloads for both backends.
 
@@ -44,12 +43,10 @@ Per-stage observability lands in the default metrics registry:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -89,10 +86,9 @@ DEFAULT_BATCH_SIZE = 32
 class PreparedRun:
     """One run, reduced to the exact rows the warehouse will hold.
 
-    Produced by the prepare stage (possibly in a worker thread/process)
-    and consumed by the backends' ``store_many``.  ``findings`` are the
-    *raw* rule findings — the parent process applies the linter's config
-    and metrics policy so counters land in the right registry.
+    Produced by the prepare stage and consumed by the backends'
+    ``store_many``.  ``findings`` are the *raw* rule findings — the gate
+    applies the linter's config and metrics policy.
     """
 
     run_id: str                        #: warehouse id ("<spec_id>/runN")
@@ -115,7 +111,7 @@ class PreparedRun:
 
 @dataclass
 class _PrepareTask:
-    """Input of the prepare worker."""
+    """Input of the prepare stage."""
 
     run: WorkflowRun
     spec_id: str
@@ -126,11 +122,10 @@ class _PrepareTask:
 def prepare_run(task: _PrepareTask) -> PreparedRun:
     """The prepare stage: rows + lint facts + (optionally) the labels.
 
-    Pure function of the task — no warehouse access, no shared state — so
-    it parallelizes over threads or processes.  The rows are shaped exactly
-    once and shared by all three consumers (lint, store, labels); the
-    serial path extracts them from the graph twice and reads them back
-    from SQL a third time for the label build.
+    Pure function of the task — no warehouse access, no shared state.
+    The rows are shaped exactly once and shared by all three consumers
+    (lint, store, labels); the serial path extracts them from the graph
+    twice and reads them back from SQL a third time for the label build.
     """
     from ..lint.rules_run import RunFacts, lint_run_facts
     from ..provenance.labels import labels_from_rows
@@ -206,9 +201,9 @@ def prepare_run(task: _PrepareTask) -> PreparedRun:
 def _prepare_quarantinable(task: _PrepareTask) -> PreparedRun:
     """:func:`prepare_run` that converts its own failures into records.
 
-    Only used under ``on_error="quarantine"``: a raising worker would
-    poison the executor's result iterator and abort the whole dataset —
-    exactly what quarantine mode promises not to do.
+    Only used under ``on_error="quarantine"``: a raising prepare would
+    end the ``map`` over the tasks and abort the whole dataset — exactly
+    what quarantine mode promises not to do.
     """
     try:
         return prepare_run(task)
@@ -294,7 +289,6 @@ def ingest_dataset(
     warehouse: ProvenanceWarehouse,
     items: Iterable[Tuple[WorkflowSpec, Sequence[SimulationResult]]],
     *,
-    jobs: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
     with_standard_views: bool = True,
     strict: bool = False,
@@ -303,15 +297,10 @@ def ingest_dataset(
     resume: bool = False,
     faults: Optional[FaultPlan] = None,
 ) -> List[LoadedSpec]:
-    """Ingest a workload through the batched, parallel pipeline.
+    """Ingest a workload through the batched pipeline.
 
     Parameters
     ----------
-    jobs:
-        Worker count for the prepare stage.  ``0`` (the default) prepares
-        inline on the calling thread — still batched, no pool.  With
-        threads the prepare of batch *k+1* overlaps the SQLite commit of
-        batch *k*.
     batch_size:
         Runs per ``store_many`` transaction (and per strict-gate unit).
     with_standard_views / strict:
@@ -510,79 +499,13 @@ def ingest_dataset(
 
     prepare = _prepare_quarantinable if on_error == "quarantine" else prepare_run
     with warehouse.bulk_load():
-        if jobs and jobs > 0:
-            with ThreadPoolExecutor(max_workers=jobs) as executor:
-                # map() preserves input order, so batches are committed in
-                # workload order no matter which worker finishes first.
-                _consume(iter(executor.map(prepare, tasks)))
-        else:
-            _consume(map(prepare, tasks))
+        _consume(map(prepare, tasks))
     return records
-
-
-def _labels_task(
-    args: Tuple[str, List[Tuple[str, str]], List[Tuple[str, str, str]], List[str]],
-) -> "LineageLabels":
-    from ..provenance.labels import labels_from_rows
-
-    run_id, steps, io_rows, user_inputs = args
-    return labels_from_rows(run_id, steps, io_rows, user_inputs)
-
-
-def build_lineage_indexes(
-    warehouse: ProvenanceWarehouse,
-    run_ids: Optional[Sequence[str]] = None,
-    *,
-    jobs: int = 0,
-    rebuild: bool = False,
-) -> Dict[str, int]:
-    """Materialise the reachability labels of many runs, fanning out builds.
-
-    Labels are a pure function of a run's rows, so with ``jobs > 0`` the
-    topological passes run concurrently while the parent stores finished
-    structures in run order.  ``jobs=0`` delegates to the serial
-    :meth:`~repro.warehouse.base.ProvenanceWarehouse.build_label_index`
-    reference path.  Returns ``run_id -> stored row count`` for every
-    requested run (already-labelled runs keep their count unless
-    ``rebuild``).
-    """
-    registry = get_registry()
-    targets = list(run_ids) if run_ids is not None else warehouse.list_runs()
-    results: Dict[str, int] = {}
-    if jobs <= 0:
-        for run_id in targets:
-            results[run_id] = warehouse.build_label_index(run_id, rebuild=rebuild)
-        return results
-
-    pending: List[str] = []
-    rows_args: List[Tuple[str, List[Tuple[str, str]],
-                          List[Tuple[str, str, str]], List[str]]] = []
-    for run_id in targets:
-        existing = warehouse.label_row_count(run_id)
-        if existing is not None and not rebuild:
-            results[run_id] = existing
-            continue
-        pending.append(run_id)
-        rows_args.append((
-            run_id,
-            warehouse.steps_of_run(run_id),
-            warehouse.io_rows(run_id),
-            sorted(warehouse.user_inputs(run_id)),
-        ))
-    with ThreadPoolExecutor(max_workers=jobs) as executor:
-        for run_id, labels in zip(pending, executor.map(_labels_task, rows_args)):
-            with registry.time("labels.build"):
-                if warehouse.label_row_count(run_id) is not None:
-                    warehouse.drop_label_index(run_id)
-                warehouse._store_lineage_labels(labels)
-            results[run_id] = labels.num_rows()
-    return {run_id: results[run_id] for run_id in targets}
 
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "PreparedRun",
-    "build_lineage_indexes",
     "ingest_dataset",
     "prepare_run",
 ]

@@ -16,7 +16,6 @@ Subcommands::
     zoom ingest ...                   load a foreign JSON Lines trace
     zoom lint ...                     statically analyse specs/warehouses
     zoom serve ...                    answer a concurrent query load
-    zoom bench-serve ...              benchmark the query service
     zoom dump / zoom restore          archive a warehouse to/from JSON
 
 Every subcommand works against a SQLite warehouse file, so a shell
@@ -30,11 +29,13 @@ import argparse
 import json
 import random
 import sys
+import threading
 import time
-from typing import List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.builder import build_user_view
 from ..core.spec import WorkflowSpec
+from ..core.view import UserView
 from ..warehouse.sqlite import SqliteWarehouse
 from ..workloads.classes import RUN_CLASSES, WORKFLOW_CLASSES
 from ..workloads.generator import generate_workflow
@@ -47,6 +48,12 @@ from ..workloads.phylogenomic import (
 from ..workloads.runs import generate_run
 from .dot import run_to_dot, spec_to_dot
 from .session import Session
+
+if TYPE_CHECKING:  # pragma: no cover — annotation-only
+    from ..serve import QueryService
+
+#: One ``zoom serve`` request: (query kind, run id, data id, view).
+_Request = Tuple[str, str, Optional[str], Optional[UserView]]
 
 
 def _cmd_demo(_args: argparse.Namespace) -> int:
@@ -93,6 +100,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, not %d" % value)
+    return value
+
+
 def _read_spec(path: str) -> WorkflowSpec:
     with open(path) as handle:
         return WorkflowSpec.from_dict(json.load(handle))
@@ -101,9 +116,9 @@ def _read_spec(path: str) -> WorkflowSpec:
 def _cmd_load(args: argparse.Namespace) -> int:
     """Simulate runs of a spec and load everything into a warehouse file.
 
-    With ``--jobs`` and/or ``--batch`` the runs go through the batched
-    ingestion pipeline (identical warehouse contents, single-transaction
-    bulk writes); the default remains the serial run-at-a-time loop.
+    With ``--batch`` the runs go through the batched ingestion pipeline
+    (identical warehouse contents, single-transaction bulk writes); the
+    default remains the serial run-at-a-time loop.
     ``--resume`` (continue a crashed load) and ``--on-error quarantine``
     (divert failing runs) always use the pipeline — the crash-safety
     machinery lives there.
@@ -111,10 +126,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     spec = _read_spec(args.spec)
     run_class = RUN_CLASSES[args.run_class]
     rng = random.Random(args.seed)
-    use_pipeline = (
-        args.jobs > 0 or args.batch > 0
-        or args.resume or args.on_error != "abort"
-    )
+    use_pipeline = args.batch > 0 or args.resume or args.on_error != "abort"
     with SqliteWarehouse(args.db) as warehouse:
         if use_pipeline:
             from ..warehouse.pipeline import DEFAULT_BATCH_SIZE, ingest_dataset
@@ -128,7 +140,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
             ]
             record = ingest_dataset(
                 warehouse, [(spec, simulations)],
-                jobs=args.jobs, batch_size=args.batch or DEFAULT_BATCH_SIZE,
+                batch_size=args.batch or DEFAULT_BATCH_SIZE,
                 with_standard_views=False,
                 resume=args.resume, on_error=args.on_error,
             )[0]
@@ -387,12 +399,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
             else args.run_id or warehouse.list_runs()
         )
         if args.action == "build":
-            from ..warehouse.pipeline import build_lineage_indexes
-
-            results = build_lineage_indexes(
-                warehouse, run_ids, jobs=args.jobs, rebuild=args.rebuild,
-            )
-            for run_id, rows in results.items():
+            for run_id in run_ids:
+                rows = warehouse.build_label_index(run_id, rebuild=args.rebuild)
                 print("labeled %s: %d label rows" % (run_id, rows))
         elif args.action == "drop":
             dropped = []
@@ -546,10 +554,101 @@ def _cmd_quarantine(args: argparse.Namespace) -> int:
         return 0 if all(o == "stored" for o in outcomes.values()) else 1
 
 
+#: How long a ``zoom serve`` client retries an admission rejection.
+_RETRY_SECONDS = 5.0
+
+
+def _drive(
+    service: "QueryService", requests: List[_Request], client_threads: int,
+) -> Dict[str, Any]:
+    """Push every request through the service from ``client_threads`` clients."""
+    from ..sanitize import make_lock
+    from ..serve import AdmissionError
+
+    cursor_lock = make_lock("serve.cli.cursor")
+    collect = make_lock("serve.cli.collect")
+    cursor = {"next": 0}             # guarded-by: cursor_lock
+    latencies: List[float] = []      # guarded-by: collect
+    errors: List[str] = []           # guarded-by: collect
+    retried = [0]                    # guarded-by: collect
+
+    def client() -> None:
+        local: List[float] = []
+        while True:
+            with cursor_lock:
+                index = cursor["next"]
+                if index >= len(requests):
+                    break
+                cursor["next"] = index + 1
+            kind, run_id, data_id, view = requests[index]
+            started = time.perf_counter()
+            deadline = started + _RETRY_SECONDS
+            while True:
+                try:
+                    service.query(kind, run_id, data_id=data_id, view=view)
+                except AdmissionError:
+                    with collect:
+                        retried[0] += 1
+                    if time.perf_counter() > deadline:
+                        with collect:
+                            errors.append("admission retry budget exhausted")
+                        break
+                    time.sleep(0.001)
+                    continue
+                except Exception as exc:  # noqa: BLE001 - report, don't hang
+                    with collect:
+                        errors.append("%s: %s" % (type(exc).__name__, exc))
+                    break
+                local.append(time.perf_counter() - started)
+                break
+        with collect:
+            latencies.extend(local)
+
+    threads = [
+        threading.Thread(target=client, name="serve-client-%d" % i)
+        for i in range(client_threads)
+    ]
+    wall_start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return {
+        "latencies": latencies,
+        "errors": errors,
+        "admission_retries": retried[0],
+        "wall_seconds": time.perf_counter() - wall_start,
+    }
+
+
+def _phase_summary(raw: Dict[str, Any], requests: int) -> Dict[str, Any]:
+    """Latency percentiles (nearest rank) and QPS of one :func:`_drive`."""
+    ordered = sorted(raw["latencies"])
+    wall = raw["wall_seconds"]
+
+    def percentile_ms(q: float) -> float:
+        if not ordered:
+            return 0.0
+        rank = int(round(q / 100.0 * (len(ordered) - 1)))
+        return round(ordered[rank] * 1000.0, 3)
+
+    return {
+        "requests": requests,
+        "completed": len(ordered),
+        "errors": len(raw["errors"]),
+        "admission_retries": raw["admission_retries"],
+        "wall_seconds": round(wall, 4),
+        "qps": round(len(ordered) / wall, 2) if wall > 0 else 0.0,
+        "mean_ms": round(sum(ordered) / len(ordered) * 1000.0, 3) if ordered else 0.0,
+        "p50_ms": percentile_ms(50),
+        "p95_ms": percentile_ms(95),
+        "p99_ms": percentile_ms(99),
+    }
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a mixed query load against an existing warehouse, concurrently."""
     from ..serve import QueryService
-    from ..serve.bench import _drive, _phase_summary
 
     with SqliteWarehouse(args.db) as warehouse:
         run_ids = args.run_id or sorted(warehouse.list_runs())
@@ -594,36 +693,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             service.close()
         print(json.dumps(summary, indent=2))
         return 1 if raw["errors"] else 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Run the cold/hot serving benchmark and write BENCH_serve.json."""
-    from ..serve.bench import run_serving_benchmark, smoke_params
-
-    params = dict(
-        backend=args.backend,
-        strategy=args.strategy,
-        workers=args.workers,
-        client_threads=args.clients,
-        requests=args.requests,
-    )
-    if args.smoke:
-        smoke = smoke_params()
-        smoke.update(
-            workers=args.workers,
-            client_threads=args.clients,
-        )
-        params.update(smoke)
-    payload = run_serving_benchmark(**params)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    print(json.dumps(payload, indent=2))
-    if payload["programming_errors"] or payload["errors"]:
-        print("serving benchmark saw errors", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
@@ -675,13 +744,10 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--run-class", default="small", choices=sorted(RUN_CLASSES))
     load.add_argument("--runs", type=int, default=1)
     load.add_argument("--seed", type=int, default=0)
-    load.add_argument("--jobs", type=int, default=0,
-                      help="prepare-stage workers for batched ingestion"
-                           " (0: serial reference path)")
-    load.add_argument("--batch", type=int, default=0,
+    load.add_argument("--batch", type=_non_negative_int, default=0,
                       help="runs committed per bulk transaction (implies"
-                           " the batched pipeline; 0: default size when"
-                           " --jobs is set, else serial)")
+                           " the batched pipeline; 0: serial reference"
+                           " path)")
     load.add_argument("--resume", action="store_true",
                       help="continue a crashed load: recover the ingest"
                            " journal, then skip already-committed runs")
@@ -763,8 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--all", action="store_true",
                        help="explicitly target every stored run (overrides"
                             " --run-id)")
-    index.add_argument("--jobs", type=int, default=0,
-                       help="label workers for 'build' (0: serial)")
     index.add_argument("--rebuild", action="store_true",
                        help="recompute even when an index already exists")
 
@@ -853,22 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-size", type=int, default=64)
     serve.add_argument("--requests", type=int, default=100)
 
-    bench_serve = sub.add_parser(
-        "bench-serve",
-        help="benchmark the query service (cold vs hot cache, QPS)",
-    )
-    bench_serve.add_argument("--backend", default="sqlite",
-                             choices=["sqlite", "memory"])
-    bench_serve.add_argument("--strategy", default="cached",
-                             choices=["cached", "uncached", "labeled"])
-    bench_serve.add_argument("--workers", type=int, default=4)
-    bench_serve.add_argument("--clients", type=int, default=8)
-    bench_serve.add_argument("--requests", type=int, default=200)
-    bench_serve.add_argument("--smoke", action="store_true",
-                             help="reduced CI workload (small runs only)")
-    bench_serve.add_argument("--out", default=None,
-                             help="write the JSON payload here")
-
     dump = sub.add_parser("dump", help="archive a warehouse to JSON")
     dump.add_argument("--db", required=True)
     dump.add_argument("--out", required=True)
@@ -898,7 +946,6 @@ _COMMANDS = {
     "stream": _cmd_stream,
     "quarantine": _cmd_quarantine,
     "serve": _cmd_serve,
-    "bench-serve": _cmd_bench_serve,
     "dump": _cmd_dump,
     "restore": _cmd_restore,
 }

@@ -187,6 +187,16 @@ class TestPipeline:
             assert warehouse.list_specs() == ["cli-wf"]
             assert len(warehouse.list_runs()) == 2
 
+    def test_serve_command(self, db_and_spec, capsys):
+        db, _payload = db_and_spec
+        capsys.readouterr()
+        assert main(["serve", "--db", db, "--requests", "20",
+                     "--clients", "2"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["requests"] == 20
+        assert summary["completed"] == summary["requests"]
+        assert summary["errors"] == 0
+
 
 class TestStatsProbe:
     def test_probe_prints_cache_and_timing_stats(self, tmp_path, capsys):

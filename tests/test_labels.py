@@ -1,7 +1,8 @@
 """The compact reachability-label index: build, serve, maintain, observe.
 
 Covers the build/status/drop lifecycle on both backends, lookup parity
-against the recursive reference for every data object, the labeled
+against the recursive reference for every data object, label compactness
+against the ``io`` rows on large runs, the labeled
 reasoner strategy, incremental maintenance (drop, delete, invalidation),
 ingestion-time labelling, the WH043 lint rule, and the ``zoom index``
 command-line surface.  It also unit-tests the encoding itself: interval
@@ -9,6 +10,8 @@ containment, remainder traversal, determinism, and cycle rejection.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -26,11 +29,14 @@ from repro.provenance.queries import deep_provenance
 from repro.provenance.reasoner import ProvenanceReasoner
 from repro.warehouse.memory import InMemoryWarehouse
 from repro.warehouse.sqlite import SqliteWarehouse
+from repro.workloads.classes import RUN_CLASSES, WORKFLOW_CLASSES
+from repro.workloads.generator import generate_workflows
 from repro.workloads.phylogenomic import (
     joe_view,
     phylogenomic_run,
     phylogenomic_spec,
 )
+from repro.workloads.runs import generate_run
 
 _BACKENDS = {"memory": InMemoryWarehouse, "sqlite": SqliteWarehouse}
 
@@ -253,6 +259,44 @@ class TestLookupParity:
             warehouse.label_lookup(run_id, "no-such-data")
 
 
+def _io_bytes(warehouse, run_id):
+    """Text bytes of the run's ``io`` rows, run id included per row."""
+    return sum(
+        len(run_id) + sum(len(column) for column in row)
+        for row in warehouse.io_rows(run_id)
+    )
+
+
+def _label_bytes(warehouse, run_id):
+    """Text bytes of the run's label rows, run id included per row."""
+    return sum(
+        len(run_id) + len(step_id) + len(str(pre)) + len(str(post))
+        + len(parent) + len(rest)
+        for step_id, pre, post, parent, rest in warehouse.label_rows_raw(run_id)
+    )
+
+
+class TestCompactness:
+    def test_labels_take_a_fifth_of_the_io_rows_on_large_runs(self, warehouse):
+        # One step per label row against every (step, data, direction) io
+        # row: on the large run class (Table II) the labels stay at most a
+        # fifth of the rows they index.
+        rng = random.Random(20080407)
+        for _name, workflow_class in sorted(WORKFLOW_CLASSES.items()):
+            (generated,) = generate_workflows(
+                workflow_class, 1, rng, target_size=20
+            )
+            spec_id = warehouse.store_spec(generated.spec)
+            result = generate_run(
+                generated.spec, RUN_CLASSES["large"], rng,
+                run_id="%s-large" % spec_id,
+            )
+            run_id = warehouse.store_run(result.run, spec_id)
+            warehouse.build_label_index(run_id)
+            labels, io = _label_bytes(warehouse, run_id), _io_bytes(warehouse, run_id)
+            assert labels * 5 <= io, (run_id, labels, io)
+
+
 # ----------------------------------------------------------------------
 # Reasoner strategies
 # ----------------------------------------------------------------------
@@ -340,20 +384,6 @@ class TestIngestionTimeLabels:
         stored = warehouse.label_rows_raw(run_id)
         warehouse.build_label_index(run_id, rebuild=True)
         assert warehouse.label_rows_raw(run_id) == stored
-
-    def test_build_lineage_indexes_kind_labeled(self, loaded):
-        from repro.warehouse.pipeline import build_lineage_indexes
-
-        warehouse, _spec, run, spec_id, run_id = loaded
-        other = warehouse.store_run(run, spec_id, run_id="second")
-        for jobs in (0, 2):
-            warehouse.drop_label_index()
-            results = build_lineage_indexes(warehouse, jobs=jobs)
-            assert results == {
-                run_id: run.num_steps(), other: run.num_steps()
-            }
-            assert warehouse.has_label_index(run_id)
-            assert warehouse.has_label_index(other)
 
 # ----------------------------------------------------------------------
 # Lint: WH043 label staleness

@@ -1,7 +1,7 @@
 """Parity and behaviour tests for the batched ingestion pipeline.
 
 The central guarantee under test: :func:`repro.warehouse.pipeline.ingest_dataset`
-— at any ``jobs`` / ``batch_size``, on either backend — produces exactly the
+— at any ``batch_size``, on either backend — produces exactly the
 warehouse contents, lint findings and ``lint.*`` metric counts of the serial
 :func:`repro.warehouse.loader.load_dataset` reference path.
 """
@@ -23,7 +23,6 @@ from repro.warehouse.loader import load_dataset
 from repro.warehouse.memory import InMemoryWarehouse
 from repro.warehouse.pipeline import (
     PreparedRun,
-    build_lineage_indexes,
     ingest_dataset,
     prepare_run,
 )
@@ -73,6 +72,12 @@ def dump(warehouse):
     return out
 
 
+def label_all(warehouse):
+    """Build the reachability labels of every stored run."""
+    for run_id in warehouse.list_runs():
+        warehouse.build_label_index(run_id)
+
+
 def lint_counters(registry):
     return {
         name: values
@@ -105,7 +110,7 @@ def reference(workload, tmp_path_factory):
             str(tmp_path_factory.mktemp("ref") / "ref.sqlite")
         )
         load_dataset(warehouse, workload)
-        build_lineage_indexes(warehouse)
+        label_all(warehouse)
         reference_dump = dump(warehouse)
         warehouse.close()
     finally:
@@ -114,44 +119,35 @@ def reference(workload, tmp_path_factory):
 
 
 class TestParity:
-    @pytest.mark.parametrize("jobs", [0, 2])
     @pytest.mark.parametrize("batch_size", [1, 3, 100])
     @pytest.mark.parametrize("backend", ["sqlite", "sqlite-bulk", "memory"])
     def test_matches_serial(self, workload, reference, registry, tmp_path,
-                            jobs, batch_size, backend):
+                            batch_size, backend):
         if backend == "memory":
             warehouse = InMemoryWarehouse()
         else:
             warehouse = SqliteWarehouse(
                 str(tmp_path / "w.sqlite"), bulk=(backend == "sqlite-bulk")
             )
-        ingest_dataset(
-            warehouse, workload, jobs=jobs, batch_size=batch_size, labels=True
-        )
+        ingest_dataset(warehouse, workload, batch_size=batch_size, labels=True)
         reference_dump, reference_lint = reference
         assert dump(warehouse) == reference_dump
         assert lint_counters(registry) == reference_lint
 
-    def test_parallel_ingestion_is_deterministic(self, workload, tmp_path):
-        dumps = []
-        for attempt in range(2):
-            warehouse = SqliteWarehouse(
-                str(tmp_path / ("d%d.sqlite" % attempt)), bulk=True
-            )
-            ingest_dataset(warehouse, workload, jobs=3, batch_size=2,
-                           labels=True)
-            dumps.append(dump(warehouse))
-            warehouse.close()
-        assert dumps[0] == dumps[1]
-
     def test_load_dataset_routes_to_pipeline(self, workload, reference,
                                              registry, tmp_path):
         warehouse = SqliteWarehouse(str(tmp_path / "w.sqlite"))
-        records = load_dataset(warehouse, workload, parallel=2)
-        build_lineage_indexes(warehouse)
+        records = load_dataset(warehouse, workload, batch_size=2)
+        label_all(warehouse)
         assert dump(warehouse) == reference[0]
         assert [r.spec_id for r in records] == ["wf0", "wf1", "wf2"]
         assert all(len(r.run_ids) == 4 for r in records)
+
+    def test_load_dataset_rejects_batch_size_zero(self, workload):
+        warehouse = InMemoryWarehouse()
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            load_dataset(warehouse, workload, batch_size=0)
+        assert warehouse.list_runs() == []
 
     def test_run_against_wrong_spec_rejected(self):
         items = small_workload(n_specs=2, n_runs=1)
@@ -308,31 +304,23 @@ class TestBulkPragmas:
 
 
 class TestBuildLineageIndexes:
-    def loaded(self, directory):
-        directory.mkdir(parents=True, exist_ok=True)
-        warehouse = SqliteWarehouse(str(directory / "w.sqlite"))
-        load_dataset(warehouse, small_workload(n_specs=2, n_runs=3))
-        return warehouse
+    """``zoom index build`` over every stored run."""
 
-    def test_parallel_matches_serial(self, tmp_path):
-        parallel = self.loaded(tmp_path / "p")
-        serial = self.loaded(tmp_path / "s")
-        counts = build_lineage_indexes(parallel, jobs=3)
-        for run_id in serial.list_runs():
-            serial.build_label_index(run_id)
-            assert counts[run_id] == serial.label_row_count(run_id)
-            assert (parallel.label_rows_raw(run_id)
-                    == serial.label_rows_raw(run_id))
-
-    def test_skips_indexed_unless_rebuild(self, tmp_path):
-        warehouse = self.loaded(tmp_path)
-        first = warehouse.list_runs()[0]
-        warehouse.build_label_index(first)
-        counts = build_lineage_indexes(warehouse, jobs=2)
-        assert set(counts) == set(warehouse.list_runs())
-        rebuilt = build_lineage_indexes(warehouse, [first], jobs=2,
-                                        rebuild=True)
-        assert rebuilt[first] == counts[first]
+    def test_skips_indexed_unless_rebuild(self, tmp_path, registry, capsys):
+        db = str(tmp_path / "w.sqlite")
+        with SqliteWarehouse(db) as warehouse:
+            load_dataset(warehouse, small_workload(n_specs=2, n_runs=3))
+            first = warehouse.list_runs()[0]
+            rows = warehouse.build_label_index(first)
+        builds = registry.timer("labels.build")
+        assert builds.count == 1
+        assert main(["index", "build", "--db", db, "--all"]) == 0
+        assert builds.count == 6  # the five unlabelled runs only
+        assert main(["index", "build", "--db", db, "--run-id", first,
+                     "--rebuild"]) == 0
+        assert builds.count == 7
+        assert "labeled %s: %d label rows" % (first, rows) in \
+            capsys.readouterr().out
 
 
 class TestFreshId:
@@ -352,27 +340,33 @@ class TestCli:
               "cli-wf", "--out", str(path)])
         return str(path)
 
-    def test_load_jobs_batch_matches_serial(self, tmp_path, spec_path,
-                                            capsys):
+    def test_load_batch_matches_serial(self, tmp_path, spec_path, capsys):
         serial_db = str(tmp_path / "serial.sqlite")
         piped_db = str(tmp_path / "piped.sqlite")
         assert main(["load", "--db", serial_db, "--spec", spec_path,
                      "--runs", "3", "--seed", "9"]) == 0
         assert main(["load", "--db", piped_db, "--spec", spec_path,
-                     "--runs", "3", "--seed", "9",
-                     "--jobs", "2", "--batch", "2"]) == 0
+                     "--runs", "3", "--seed", "9", "--batch", "2"]) == 0
         out = capsys.readouterr().out
         assert "cli-wf/run3" in out
         with SqliteWarehouse(serial_db) as serial, \
                 SqliteWarehouse(piped_db) as piped:
             assert dump(piped) == dump(serial)
 
-    def test_index_build_all_jobs(self, tmp_path, spec_path, capsys):
+    def test_load_rejects_negative_batch(self, tmp_path, spec_path, capsys):
+        db = tmp_path / "w.sqlite"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["load", "--db", str(db), "--spec", spec_path,
+                  "--batch", "-1"])
+        assert exit_info.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not db.exists()
+
+    def test_index_build_all(self, tmp_path, spec_path, capsys):
         db = str(tmp_path / "w.sqlite")
         main(["load", "--db", db, "--spec", spec_path, "--runs", "2"])
         capsys.readouterr()
-        assert main(["index", "build", "--db", db, "--all",
-                     "--jobs", "2"]) == 0
+        assert main(["index", "build", "--db", db, "--all"]) == 0
         out = capsys.readouterr().out
         assert "labeled cli-wf/run1" in out
         assert "labeled cli-wf/run2" in out
