@@ -16,10 +16,13 @@ than the initial query (avg 13 ms vs up to seconds).  The
 * ``strategy="labeled"`` goes one step further than the paper: UAdmin
   closures are served from the compact reachability labels of
   :mod:`repro.provenance.labels` — O(V) rows per run, per Bao & Davidson's
-  labeling schemes — built lazily on a run's first query and persisted in
-  the warehouse, so even a cold process answers deep provenance without
-  recursion; view-level answers are projected from those lookups through
-  the cached composite structure (:func:`~repro.provenance.index.project_closure`).
+  labeling schemes — built lazily on a run's first query on a thread that
+  may write, and persisted in the warehouse, so even a cold process
+  answers deep provenance without recursion (a read-only serving worker
+  never builds: it answers an unlabelled run through the closure and
+  counts ``labels.miss``); view-level answers are projected from those
+  lookups through the cached composite structure
+  (:func:`~repro.provenance.index.project_closure`).
 
 All memoisation lives in bounded LRU caches
 (:class:`~repro.obs.cache.BoundedCache`): a long-lived reasoner serving
@@ -67,7 +70,8 @@ class ProvenanceReasoner:
         everything on each query; ``"labeled"`` memoises like ``cached``
         *and* serves UAdmin closures from the warehouse's compact
         reachability labels (``build_label_index`` / ``label_lookup``),
-        building them (once, persistently) on a run's first query.
+        building them (once, persistently) on a run's first query from a
+        thread that may write; read-only threads fall back to the closure.
     run_cache_size, composite_cache_size, closure_cache_size:
         LRU capacities of the three caches (runs, per-view composite
         structures, UAdmin closures).  Evicting a run invalidates its
@@ -236,11 +240,11 @@ class ProvenanceReasoner:
         paper's response-time experiment; under the cached strategy it runs
         once per (run, data) pair.  Under the labeled strategy it is an
         upward traversal over the compact reachability labels (built on
-        the run's first query, persisted in the warehouse).
+        the run's first query, persisted in the warehouse) — or, for a run
+        a read-only thread finds unlabelled, the closure again.
         """
         strategy = self.strategy
         if strategy == "labeled":
-            self._ensure_labels(run_id)
             return self._admin_closure_cache.get_or_build(
                 (run_id, data_id),
                 lambda: self._labeled_lookup(run_id, data_id),
@@ -254,12 +258,23 @@ class ProvenanceReasoner:
             scope=run_id,
         )
 
-    def _ensure_labels(self, run_id: str) -> None:
-        """Build (or verify, once per reasoner) the run's label index."""
+    def _ensure_labels(self, run_id: str) -> bool:
+        """Whether the run's labels are in place to serve from.
+
+        Verified once per reasoner.  A thread that may write builds
+        missing labels; a reader thread (a serving worker's read-only
+        connection) never writes, so a run nobody labelled stays
+        unlabelled and is answered through the recursive closure.
+        """
         if run_id in self._labeled_runs:
-            return
-        self.warehouse.build_label_index(run_id)
+            return True
+        warehouse = self.warehouse
+        if warehouse.can_write():
+            warehouse.build_label_index(run_id)
+        elif not warehouse.has_label_index(run_id):
+            return False
         self._labeled_runs.add(run_id)
+        return True
 
     def ensure_run_ready(self, run_id: str) -> None:
         """Materialise whatever persistent index the strategy serves from.
@@ -270,9 +285,13 @@ class ProvenanceReasoner:
         out to workers.  A no-op for the cached/uncached strategies.
         """
         if self.strategy == "labeled":
-            self._ensure_labels(run_id)
+            self.warehouse.build_label_index(run_id)
+            self._labeled_runs.add(run_id)
 
     def _labeled_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
+        if not self._ensure_labels(run_id):
+            get_registry().counter("labels.miss").increment()
+            return self._timed_closure(run_id, data_id)
         with get_registry().time("labels.lookup"):
             return self.warehouse.label_lookup(run_id, data_id)
 
@@ -304,19 +323,17 @@ class ProvenanceReasoner:
     ) -> Dict[str, ProvenanceResult]:
         """Deep provenance of many objects of one run, batched.
 
-        Per-query setup is paid once for the whole batch: the label index
-        is verified/built once and the composite structure is
-        materialised once per call even under the uncached strategy — the
-        batch is one query, not N.  Duplicate data ids are answered once:
-        the batch is deduplicated (first-occurrence order) before fan-out,
-        so a duplicate-heavy batch costs one computation — not one memo
-        probe, or under the uncached strategy one recomputation, per copy.
+        Per-query setup is paid once for the whole batch: the composite
+        structure is materialised once per call even under the uncached
+        strategy — the batch is one query, not N.  Duplicate data ids are
+        answered once: the batch is deduplicated (first-occurrence order)
+        before fan-out, so a duplicate-heavy batch costs one computation —
+        not one memo probe, or under the uncached strategy one
+        recomputation, per copy.
         """
         deduped = list(dict.fromkeys(data_ids))
         results: Dict[str, ProvenanceResult] = {}
         labeled = self.strategy == "labeled"
-        if labeled:
-            self._ensure_labels(run_id)
         if view is None:
             for data_id in deduped:
                 results[data_id] = self.admin_deep(run_id, data_id)

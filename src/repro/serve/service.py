@@ -21,7 +21,9 @@ Thread-affinity contract: workers only *read*.  Anything that writes —
 building a label index, dropping one during invalidation — must happen on
 the thread that created the warehouse.  :meth:`warm` exists precisely for
 that: call it from the owner thread before :meth:`start` when using the
-``labeled`` strategy, so workers find the labels already built.
+``labeled`` strategy, so workers find the labels already built.  A run
+nobody warmed is still answered — through the recursive closure, counted
+under ``labels.miss`` — because a worker never builds labels itself.
 """
 
 from __future__ import annotations

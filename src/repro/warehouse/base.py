@@ -407,6 +407,15 @@ class ProvenanceWarehouse(ABC):
     # Compact reachability labels
     # ------------------------------------------------------------------
 
+    def can_write(self) -> bool:
+        """Whether the calling thread may write to this warehouse.
+
+        True everywhere by default.  A backend that hands foreign threads
+        read-only connections (SQLite) answers False on those threads, so
+        a reader can take the read-only path instead of failing a write.
+        """
+        return True
+
     def build_label_index(self, run_id: str, rebuild: bool = False) -> int:
         """Materialise (and persist) the run's reachability labels.
 

@@ -246,7 +246,6 @@ def _quarantine_prepared(
         io_rows=list(prepared.io_rows),
         user_inputs=list(prepared.user_inputs),
         final_outputs=list(prepared.final_outputs),
-        checksum=prepared.checksum,
     ))
     get_registry().counter("ingest.quarantined").increment()
 

@@ -40,6 +40,7 @@ import re
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     Iterable,
     List,
@@ -48,7 +49,7 @@ from typing import (
     Tuple,
 )
 
-from ..core.errors import ZoomError
+from ..core.errors import WarehouseError, ZoomError
 from ..obs.metrics import get_registry
 from .base import ProvenanceWarehouse
 
@@ -93,7 +94,6 @@ class QuarantineRecord:
     io_rows: List[Tuple[str, str, str]] = field(default_factory=list)
     user_inputs: List[str] = field(default_factory=list)
     final_outputs: List[str] = field(default_factory=list)
-    checksum: str = ""
 
     def to_payload(self) -> str:
         """The row payload persisted by the SQLite backend (JSON)."""
@@ -103,7 +103,6 @@ class QuarantineRecord:
             "io_rows": [list(r) for r in self.io_rows],
             "user_inputs": list(self.user_inputs),
             "final_outputs": list(self.final_outputs),
-            "checksum": self.checksum,
         }, sort_keys=True)
 
     @classmethod
@@ -115,6 +114,8 @@ class QuarantineRecord:
         event_index: Optional[int],
         payload: str,
     ) -> "QuarantineRecord":
+        # A ``checksum`` key, written by older releases, is ignored: the
+        # retry recomputes it under the current scheme.
         data = json.loads(payload)
         return cls(
             run_id=run_id,
@@ -126,11 +127,15 @@ class QuarantineRecord:
             io_rows=[tuple(r) for r in data.get("io_rows", [])],
             user_inputs=list(data.get("user_inputs", [])),
             final_outputs=list(data.get("final_outputs", [])),
-            checksum=data.get("checksum", ""),
         )
 
     def to_prepared(self) -> "PreparedRun":
-        """Rebuild the bulk-storable form (for ``quarantine retry``)."""
+        """Rebuild the bulk-storable form (for ``quarantine retry``).
+
+        The checksum is always recomputed from the rows: one carried over
+        from the quarantined payload may predate the current scheme, and
+        journalling it would make recovery roll the retried run back.
+        """
         from .pipeline import PreparedRun
 
         return PreparedRun(
@@ -141,7 +146,7 @@ class QuarantineRecord:
             io_rows=list(self.io_rows),
             user_inputs=list(self.user_inputs),
             final_outputs=list(self.final_outputs),
-            checksum=self.checksum or run_checksum(
+            checksum=run_checksum(
                 self.spec_id, self.step_rows, self.io_rows,
                 self.user_inputs, self.final_outputs,
             ),
@@ -224,6 +229,75 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
+#: Prefix naming the checksum scheme in every stored checksum text.  A
+#: journal or open-stream row written under another scheme (an untagged
+#: 64-hex SHA-256 of the sorted JSON rows, before this prefix existed) is
+#: recognised as such instead of reading as a row mismatch.
+CHECKSUM_SCHEME = "m1:"
+
+_MODULUS = 1 << 256
+
+# One tag per relation, NUL-terminated so no tag is a prefix of another:
+# the same id as a user input and as a final output hashes differently.
+# Each row copies its relation's tagged hasher, which is cheaper than a
+# fresh constructor; the sums run over every row of a batch-loaded run.
+_STEP_TAG = hashlib.sha256(b"step\0")
+_IO_TAG = hashlib.sha256(b"io\0")
+_INPUT_TAG = hashlib.sha256(b"in\0")
+_FINAL_TAG = hashlib.sha256(b"out\0")
+
+
+def _tagged_sum(tag: Any, texts: Iterable[str]) -> int:
+    """Sum of SHA-256(tag + text) over the texts, as big-endian ints."""
+    copy, from_bytes = tag.copy, int.from_bytes
+    total = 0
+    for text in texts:
+        row = copy()
+        row.update(text.encode("utf-8"))
+        total += from_bytes(row.digest(), "big")
+    return total
+
+
+@dataclass(frozen=True)
+class RunDigest:
+    """Order-independent additive multiset hash of a run's rows.
+
+    Every row is hashed with SHA-256 under its relation's tag and the
+    hashes are summed mod 2^256, so the digest of a union of disjoint row
+    sets is the sum of their digests: a streamed epoch extends the run's
+    digest by hashing only its own delta, C_N = C_{N-1} + H(delta_N).
+    Ids are assumed free of NUL characters, which join a row's columns.
+    """
+
+    spec_id: str
+    total: int = 0
+
+    def add(
+        self,
+        step_rows: Iterable[Tuple[str, str]] = (),
+        io_rows: Iterable[Tuple[str, str, str]] = (),
+        user_inputs: Iterable[str] = (),
+        final_outputs: Iterable[str] = (),
+    ) -> "RunDigest":
+        """The digest of this run's rows plus the given (new) rows."""
+        join = "\0".join
+        total = (
+            self.total
+            + _tagged_sum(_STEP_TAG, map(join, step_rows))
+            + _tagged_sum(_IO_TAG, map(join, io_rows))
+            + _tagged_sum(_INPUT_TAG, user_inputs)
+            + _tagged_sum(_FINAL_TAG, final_outputs)
+        )
+        return RunDigest(self.spec_id, total % _MODULUS)
+
+    @property
+    def checksum(self) -> str:
+        """The stored checksum text: scheme prefix + SHA-256 of
+        ``(spec_id, sum)``."""
+        blob = self.spec_id.encode("utf-8") + b"\0" + self.total.to_bytes(32, "big")
+        return CHECKSUM_SCHEME + hashlib.sha256(blob).hexdigest()
+
+
 def run_checksum(
     spec_id: str,
     step_rows: Iterable[Tuple[str, str]],
@@ -233,21 +307,16 @@ def run_checksum(
 ) -> str:
     """Content hash of a run's relational rows, order-independent.
 
-    SHA-256 over a canonical JSON form with every relation sorted, so the
-    same hash comes out of a :class:`~repro.warehouse.pipeline.PreparedRun`
-    (rows in shaping order) and out of the stored warehouse rows (rows in
-    backend iteration order).  The reachability labels are deliberately
-    excluded: they are derived data, rebuildable from these rows.
+    The :attr:`RunDigest.checksum` of the rows, so the same hash comes out
+    of a :class:`~repro.warehouse.pipeline.PreparedRun` (rows in shaping
+    order), out of the stored warehouse rows (rows in backend iteration
+    order) and out of a stream's epoch-by-epoch digest.  The
+    reachability labels are deliberately excluded: they are derived data,
+    rebuildable from these rows.
     """
-    payload = {
-        "spec_id": spec_id,
-        "steps": sorted([s, m] for s, m in step_rows),
-        "io": sorted([s, d, direction] for s, d, direction in io_rows),
-        "user_inputs": sorted(user_inputs),
-        "final_outputs": sorted(final_outputs),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return RunDigest(spec_id).add(
+        step_rows, io_rows, user_inputs, final_outputs
+    ).checksum
 
 
 def checksum_stored_run(warehouse: ProvenanceWarehouse, run_id: str) -> str:
@@ -273,6 +342,39 @@ def event_index_of(exc: BaseException) -> Optional[int]:
         return explicit
     match = re.search(r"\bevent (\d+)\b", str(exc))
     return int(match.group(1)) if match else None
+
+
+def _require_current_scheme(warehouse: ProvenanceWarehouse) -> None:
+    """Refuse to settle checksums written under another scheme.
+
+    Recovery compares the journal and open-stream checksums with a
+    recomputation over the stored rows; under a different scheme that
+    comparison always fails and would delete a healthy run.  So a stored
+    run with a ``pending`` entry, or any open-stream row, whose checksum
+    lacks :data:`CHECKSUM_SCHEME` stops recovery before it changes
+    anything.  Committed entries are never compared and stay as they are;
+    a pending entry without a stored run is only a resume work item.
+    """
+    present = set(warehouse.list_runs())
+    stale = {
+        entry.run_id
+        for entry in warehouse.journal_entries(state=JOURNAL_PENDING)
+        if entry.run_id in present
+        and not entry.checksum.startswith(CHECKSUM_SCHEME)
+    }
+    stale.update(
+        run_id for run_id, state in warehouse.stream_states().items()
+        if not state.checksum.startswith(CHECKSUM_SCHEME)
+    )
+    if stale:
+        raise WarehouseError(
+            "cannot recover run(s) %s: their pending journal entry or"
+            " open-stream row carries a checksum from an older scheme"
+            " (current checksums start with %r), so their stored rows"
+            " cannot be verified.  Settle them with the release that wrote"
+            " them, or delete those runs and load them again."
+            % (", ".join(repr(r) for r in sorted(stale)), CHECKSUM_SCHEME)
+        )
 
 
 def _recover_streams(
@@ -358,7 +460,10 @@ def recover(warehouse: ProvenanceWarehouse) -> RecoveryReport:
     """Repair a warehouse after a crashed (or killed) ingestion.
 
     Safe to run any time — on a healthy warehouse it is a cheap no-op
-    audit.  Four passes:
+    audit.  A warehouse whose unsettled checksums predate the current
+    scheme raises :class:`~repro.core.errors.WarehouseError` naming the
+    runs before anything is touched (:func:`_require_current_scheme`).
+    Otherwise four passes:
 
     1. **Integrity**: the backend's :meth:`integrity_report` with
        ``repair=True`` — ``PRAGMA quick_check`` plus recreation of any
@@ -379,6 +484,7 @@ def recover(warehouse: ProvenanceWarehouse) -> RecoveryReport:
     ``WH041``) are reported but left in place: they are precisely the
     work-list ``load_dataset(resume=True)`` needs.
     """
+    _require_current_scheme(warehouse)
     registry = get_registry()
     integrity = warehouse.integrity_report(repair=True)
     report = RecoveryReport(
@@ -465,11 +571,13 @@ def retry_quarantined(
 
 
 __all__ = [
+    "CHECKSUM_SCHEME",
     "JOURNAL_COMMITTED",
     "JOURNAL_PENDING",
     "JournalEntry",
     "QuarantineRecord",
     "RecoveryReport",
+    "RunDigest",
     "checksum_stored_run",
     "event_index_of",
     "recover",

@@ -183,7 +183,9 @@ SQLITE_DDL: Tuple[str, ...] = (
     """,
     # The ingest journal (repro.warehouse.recovery): one row per run a
     # bulk load intends to store, written 'pending' before the batch
-    # commit and flipped to 'committed' after.  Deliberately NOT a
+    # commit and flipped to 'committed' after.  ``checksum`` (here and in
+    # _stream_state) is text prefixed with its scheme, e.g. 'm1:<hex>'.
+    # Deliberately NOT a
     # foreign key into run_def — a torn journal (pending rows whose run
     # never landed; lint rule WH041) must be representable so recovery
     # and resumed loads can see it.

@@ -375,6 +375,10 @@ class SqliteWarehouse(ProvenanceWarehouse):
                 self._conn.execute("PRAGMA synchronous = NORMAL")
                 self._conn.execute("PRAGMA temp_store = DEFAULT")
 
+    def can_write(self) -> bool:
+        """Only the owner thread holds the write connection."""
+        return threading.get_ident() == self._owner_thread
+
     def close(self) -> None:  # owner-only
         """Close the write connection and every checked-out reader."""
         with self._readers_lock:

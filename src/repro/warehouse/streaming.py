@@ -17,7 +17,9 @@ Protocol (one :class:`StreamingIngestor` per producer):
    ``committed`` at epoch 0.
 2. :meth:`~StreamingIngestor.ingest_events` — each call is one epoch
    ``N``: the journal entry is re-written ``pending`` with the cumulative
-   checksum ``C_N`` (fault site ``stream.epoch.pending``), the epoch's
+   checksum ``C_N`` — the run's :class:`~repro.warehouse.recovery.RunDigest`
+   extended by the epoch's own delta rows, never a re-hash of the whole
+   run (fault site ``stream.epoch.pending``), the epoch's
    rows and the state row advance **atomically** in one backend
    transaction (:meth:`~repro.warehouse.base.ProvenanceWarehouse.stream_apply`,
    fault site ``stream.append``), and the entry is marked ``committed``
@@ -57,7 +59,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..core.errors import WarehouseError
 from ..faults import FaultPlan
@@ -66,23 +77,26 @@ from ..obs.metrics import get_registry
 from ..run.log import Event, EventLog
 from ..sanitize import make_lock
 from .base import ProvenanceWarehouse
-from .recovery import JournalEntry, recover, run_checksum
+from .recovery import JournalEntry, RunDigest, recover
 from .schema import DIR_IN, DIR_OUT
 
 
 @dataclass
 class _OpenRun:
-    """The ingestor's local view of one run it holds open."""
+    """The ingestor's local view of one run it holds open.
 
-    spec_id: str
+    The row sets and the digest cover every committed epoch; they grow by
+    each epoch's delta, so an append never re-reads or re-hashes the run.
+    """
+
+    digest: RunDigest                #: rows committed through ``epoch``
     epoch: int                       #: last epoch this process committed
     skip_through: int                #: epochs durable before (re-)open
     calls: int = 0                   #: ingest_events calls seen
-    step_rows: List[Tuple[str, str]] = field(default_factory=list)
-    io_rows: List[Tuple[str, str, str]] = field(default_factory=list)
-    user_inputs: List[str] = field(default_factory=list)
-    final_outputs: List[str] = field(default_factory=list)
-    checksum: str = ""
+    steps: Set[Tuple[str, str]] = field(default_factory=set)
+    io_rows: Set[Tuple[str, str, str]] = field(default_factory=set)
+    user_inputs: Set[str] = field(default_factory=set)
+    final_outputs: Set[str] = field(default_factory=set)
 
 
 def chunk_log(
@@ -196,14 +210,19 @@ class StreamingIngestor:
                     % (run_id, state.spec_id, spec_id)
                 )
             record = _OpenRun(
-                spec_id=state.spec_id,
+                digest=RunDigest(state.spec_id),
                 epoch=state.epoch,
                 skip_through=state.epoch,
-                step_rows=list(warehouse.steps_of_run(run_id)),
-                io_rows=list(warehouse.io_rows(run_id)),
-                user_inputs=sorted(warehouse.user_inputs(run_id)),
-                final_outputs=sorted(warehouse.final_outputs(run_id)),
-                checksum=state.checksum,
+                steps=set(warehouse.steps_of_run(run_id)),
+                io_rows=set(warehouse.io_rows(run_id)),
+                user_inputs=set(warehouse.user_inputs(run_id)),
+                final_outputs=set(warehouse.final_outputs(run_id)),
+            )
+            # The one full hash of a stream: the state row stores only
+            # the checksum text, not the sum an epoch extends.
+            record.digest = record.digest.add(
+                record.steps, record.io_rows,
+                record.user_inputs, record.final_outputs,
             )
             with self._lock:
                 self._open[run_id] = record
@@ -214,7 +233,8 @@ class StreamingIngestor:
                 "opening a fresh stream for run %r requires a spec_id"
                 % run_id
             )
-        checksum = run_checksum(spec_id, [], [], [], [])
+        digest = RunDigest(spec_id)
+        checksum = digest.checksum
         warehouse.stream_begin(
             run_id, spec_id, checksum=checksum,
             opened_at=time.time() if opened_at is None else opened_at,
@@ -228,7 +248,7 @@ class StreamingIngestor:
         warehouse.journal_commit([run_id])
         with self._lock:
             self._open[run_id] = _OpenRun(
-                spec_id=spec_id, epoch=0, skip_through=0, checksum=checksum,
+                digest=digest, epoch=0, skip_through=0,
             )
         get_registry().counter("stream.opened").increment()
         return 0
@@ -270,16 +290,15 @@ class StreamingIngestor:
         epoch = record.epoch + 1
 
         new_steps, new_io, new_inputs, new_final = self._shape(record, batch)
-        cum_steps = record.step_rows + new_steps
-        cum_io = record.io_rows + new_io
-        cum_inputs = record.user_inputs + [d for d, _who in new_inputs]
-        cum_final = record.final_outputs + new_final
-        checksum = run_checksum(
-            record.spec_id, cum_steps, cum_io, cum_inputs, cum_final
+        new_input_ids = [d for d, _who in new_inputs]
+        # C_N = C_{N-1} + H(delta_N): the epoch hashes its own rows only.
+        digest = record.digest.add(
+            new_steps, new_io, new_input_ids, new_final
         )
+        checksum = digest.checksum
 
         warehouse.journal_begin([JournalEntry(
-            run_id=run_id, spec_id=record.spec_id,
+            run_id=run_id, spec_id=digest.spec_id,
             checksum=checksum, batch=epoch,
         )])
         # Crash window: the journal promises epoch N but the rows are
@@ -297,11 +316,11 @@ class StreamingIngestor:
         warehouse.journal_commit([run_id])
 
         record.epoch = epoch
-        record.step_rows = cum_steps
-        record.io_rows = cum_io
-        record.user_inputs = cum_inputs
-        record.final_outputs = cum_final
-        record.checksum = checksum
+        record.digest = digest
+        record.steps.update(new_steps)
+        record.io_rows.update(new_io)
+        record.user_inputs.update(new_input_ids)
+        record.final_outputs.update(new_final)
         registry.counter("stream.epochs").increment()
         registry.counter("stream.events").increment(len(batch))
 
@@ -309,8 +328,7 @@ class StreamingIngestor:
         # delta below never ran — ``delta_epoch`` trails (WH047) and
         # recovery drops the stale labels for lazy rebuild.
         fault_hit(plan, "stream.delta")
-        self._maintain_indexes(run_id, new_steps, new_io,
-                               [d for d, _who in new_inputs])
+        self._maintain_indexes(run_id, new_steps, new_io, new_input_ids)
         warehouse.stream_mark_delta(run_id, epoch)
         self._notify(run_id, epoch)
         return epoch
@@ -331,7 +349,7 @@ class StreamingIngestor:
             self._open.pop(run_id, None)
         get_registry().counter("stream.finalized").increment()
         self._notify(run_id, record.epoch)
-        return record.checksum
+        return record.digest.checksum
 
     # ------------------------------------------------------------------
     # Internals
@@ -360,46 +378,40 @@ class StreamingIngestor:
 
         Rows the warehouse already holds (or that repeat within the
         epoch) are dropped, so a replayed event is harmless and the
-        cumulative checksum matches the stored relations exactly.
+        cumulative checksum matches the stored relations exactly.  The
+        record's sets are only read: the caller extends them once the
+        epoch commits.
         """
-        steps: List[Tuple[str, str]] = []
-        io_rows: List[Tuple[str, str, str]] = []
-        user_inputs: List[Tuple[str, str]] = []
-        final_outputs: List[str] = []
-        seen_steps = set(record.step_rows)
-        seen_io = set(record.io_rows)
-        seen_inputs = set(record.user_inputs)
-        seen_final = set(record.final_outputs)
+        # Dicts dedup within the epoch and keep first-seen order.
+        steps: Dict[Tuple[str, str], None] = {}
+        io_rows: Dict[Tuple[str, str, str], None] = {}
+        user_inputs: Dict[str, str] = {}
+        final_outputs: Dict[str, None] = {}
         for event in events:
             kind = event.kind
             if kind == "start":
                 row = (event.step_id, event.module)
-                if row not in seen_steps:
-                    seen_steps.add(row)
-                    steps.append(row)
-            elif kind == "read":
-                io = (event.step_id, event.data_id, DIR_IN)
-                if io not in seen_io:
-                    seen_io.add(io)
-                    io_rows.append(io)
-            elif kind == "write":
-                io = (event.step_id, event.data_id, DIR_OUT)
-                if io not in seen_io:
-                    seen_io.add(io)
-                    io_rows.append(io)
+                if row not in record.steps:
+                    steps[row] = None
+            elif kind == "read" or kind == "write":
+                io = (event.step_id, event.data_id,
+                      DIR_IN if kind == "read" else DIR_OUT)
+                if io not in record.io_rows:
+                    io_rows[io] = None
             elif kind == "user_input":
-                if event.data_id not in seen_inputs:
-                    seen_inputs.add(event.data_id)
-                    user_inputs.append((event.data_id, event.who))
+                if event.data_id not in record.user_inputs:
+                    user_inputs.setdefault(event.data_id, event.who)
             elif kind == "final_output":
-                if event.data_id not in seen_final:
-                    seen_final.add(event.data_id)
-                    final_outputs.append(event.data_id)
+                if event.data_id not in record.final_outputs:
+                    final_outputs[event.data_id] = None
             else:
                 raise WarehouseError(
                     "unknown event kind %r in streaming append" % (kind,)
                 )
-        return steps, io_rows, user_inputs, final_outputs
+        return (
+            list(steps), list(io_rows),
+            list(user_inputs.items()), list(final_outputs),
+        )
 
     def _maintain_indexes(
         self,

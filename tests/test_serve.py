@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
-from repro.obs import BoundedCache
+from repro.obs import BoundedCache, MetricsRegistry, set_registry
 from repro.provenance.reasoner import ProvenanceReasoner
 from repro.serve import QUERY_KINDS, AdmissionError, QueryService, ServiceError
 from repro.warehouse.memory import InMemoryWarehouse
@@ -364,6 +364,52 @@ class TestConcurrencyParity:
             assert canonical == reference[index], (
                 "request %d diverged from serial reference" % index
             )
+
+
+class TestUnwarmedLabeledService:
+    """A labeled service must answer runs nobody warmed: its workers hold
+    read-only connections, so the read path may not build labels."""
+
+    def test_unwarmed_runs_answer_through_the_closure(
+        self, tmp_path, spec, run, joe
+    ):
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        warehouse = SqliteWarehouse(str(tmp_path / "wh.db"))
+        service = QueryService(warehouse, strategy="labeled", workers=2)
+        try:
+            spec_id = warehouse.store_spec(spec)
+            run_ids = [
+                warehouse.store_run(run, spec_id, run_id="labeled/run%d" % n)
+                for n in (1, 2)
+            ]
+            reference = ProvenanceReasoner(warehouse, strategy="uncached")
+            service.start()
+            for run_id in run_ids:
+                for data_id in sorted(warehouse.final_outputs(run_id)):
+                    for view in (None, joe):
+                        assert service.query(
+                            "deep", run_id, data_id=data_id, view=view
+                        ) == reference.deep(run_id, data_id, view=view)
+                assert not warehouse.has_label_index(run_id)
+            misses = registry.counter("labels.miss").value
+            assert misses > 0
+            assert registry.timer("labels.lookup").count == 0
+
+            # warm() on the owner thread still builds the labels, and the
+            # workers then serve from them.
+            service.warm(run_ids[:1])
+            assert warehouse.has_label_index(run_ids[0])
+            service.refresh_run(run_ids[0])
+            data_id = sorted(warehouse.final_outputs(run_ids[0]))[0]
+            assert service.query("deep", run_ids[0], data_id=data_id) == \
+                reference.deep(run_ids[0], data_id)
+            assert registry.timer("labels.lookup").count == 1
+            assert registry.counter("labels.miss").value == misses
+        finally:
+            service.close()
+            warehouse.close()
+            set_registry(previous)
 
 
 class TestAdmissionControl:
