@@ -24,9 +24,7 @@ Planted defects and the rules they trigger:
   the footprint of a bulk load killed between journalling and commit
   (``WH041``, torn ingest);
 * a streaming run left open at rest — its producer died without
-  finalizing (``WH046``) — and a second open stream whose label index
-  was last maintained an epoch behind the committed rows, the footprint
-  of a crash between the epoch commit and the label delta (``WH047``).
+  finalizing (``WH046``).
 
 Usage::
 
@@ -70,21 +68,17 @@ def build(path: str) -> str:
     )
     warehouse.store_run(simulate(spec).run, spec_id, run_id="healthy/run1")
 
-    # Two streaming runs, appended through the official protocol but
-    # never finalized — the footprint of producers that died mid-run.
+    # A streaming run, appended through the official protocol but never
+    # finalized — the footprint of a producer that died mid-run.
     ingestor = StreamingIngestor(warehouse)
-    for run_id in ("healthy/stream1", "healthy/stream2"):
-        log = EventLog()
-        log.user_input("d0")
-        log.start("st1", "A")
-        log.read("st1", "d0")
-        log.write("st1", "d1")
-        ingestor.open_run(run_id, spec_id)
-        for chunk in chunk_log(log):
-            ingestor.ingest_events(run_id, chunk)
-    # stream2 additionally carries a label index, so winding its
-    # delta watermark back (below) makes the labels verifiably stale.
-    warehouse.build_label_index("healthy/stream2")
+    log = EventLog()
+    log.user_input("d0")
+    log.start("st1", "A")
+    log.read("st1", "d0")
+    log.write("st1", "d1")
+    ingestor.open_run("healthy/stream1", spec_id)
+    for chunk in chunk_log(log):
+        ingestor.ingest_events("healthy/stream1", chunk)
     warehouse.close()
 
     # Now the vandalism, straight into the tables.
@@ -157,18 +151,11 @@ def build(path: str) -> str:
             " ('healthy/run9', 'healthy', 'deadbeef', 1, 'pending')"
         )
 
-        # -- abandoned streams (WH046): both open-run rows are aged an
+        # -- an abandoned stream (WH046): the open-run row is aged an
         #    hour so the default --open-run-age of 0 and any realistic
-        #    threshold both flag them.
+        #    threshold both flag it.
         db.execute(
             "UPDATE _stream_state SET opened_at = opened_at - 3600"
-        )
-        # -- a trailing label watermark (WH047): the epoch committed but
-        #    the crash hit before the incremental label maintenance, so
-        #    stream2's labels still answer for the epoch before.
-        db.execute(
-            "UPDATE _stream_state SET delta_epoch = epoch - 1"
-            " WHERE run_id = 'healthy/stream2'"
         )
     db.close()
     return path

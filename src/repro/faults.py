@@ -25,11 +25,6 @@ Instrumented sites (see :data:`SITES`):
 ``journal.mark``
     After the batch commit but before the journal rows are marked
     ``committed`` — the window recovery repairs by checksum.
-``bulk_load.rebuild``
-    Inside :meth:`SqliteWarehouse.bulk_load`'s exit bracket, before the
-    deferred ``io`` secondary indexes are recreated — a crash here leaves
-    the warehouse unindexed, the state the startup integrity probe and
-    ``zoom recover`` repair.
 ``stream.epoch.pending``
     A streaming append's journal entry was durably re-written ``pending``
     but no epoch rows are stored yet — a crash here is the streaming
@@ -45,17 +40,12 @@ Instrumented sites (see :data:`SITES`):
     The epoch's rows and stream state committed atomically but the journal
     entry is still ``pending`` — recovery rolls the epoch *forward* by
     checksum.
-``stream.delta``
-    The epoch is journalled committed but the incremental label delta did
-    not run — the warehouse's ``delta_epoch`` trails its committed epoch
-    (lint rule ``WH047``); recovery drops the stale labels so they rebuild
-    lazily.
 ``stream.finalize``
     Inside :meth:`~repro.warehouse.streaming.StreamingIngestor.finalize_run`,
     before the open-run state row is deleted — the run stays open
     (lint rule ``WH046``) and a replayed finalize converges.
 
-A sixth failure mode, per-run corruption, is scheduled with
+Another failure mode, per-run corruption, is scheduled with
 :meth:`FaultPlan.fail_run` and raised by the pipeline's gate stage — under
 ``on_error="quarantine"`` the run is quarantined instead of aborting the
 dataset.
@@ -82,11 +72,9 @@ SITES: Tuple[str, ...] = (
     "store_many.mid",
     "journal.pending",
     "journal.mark",
-    "bulk_load.rebuild",
     "stream.epoch.pending",
     "stream.append",
     "stream.epoch.mark",
-    "stream.delta",
     "stream.finalize",
 )
 

@@ -51,8 +51,8 @@ RULES.register("WH036", LAYER_WAREHOUSE, ERROR,
 RULES.register("WH037", LAYER_WAREHOUSE, WARNING,
                "run has no step rows")
 RULES.register("WH040", LAYER_WAREHOUSE, WARNING,
-               "warehouse is missing an expected secondary index (a crashed"
-               " bulk load skipped the rebuild)")
+               "warehouse is missing an expected secondary index (dropped"
+               " by a crash or an out-of-band edit)")
 RULES.register("WH041", LAYER_WAREHOUSE, ERROR,
                "ingest journal row references a run the warehouse does not"
                " hold (torn ingest)")
@@ -62,9 +62,6 @@ RULES.register("WH043", LAYER_WAREHOUSE, ERROR,
 RULES.register("WH046", LAYER_WAREHOUSE, WARNING,
                "streaming run is still open at rest (its producer crashed"
                " or never finalized)")
-RULES.register("WH047", LAYER_WAREHOUSE, ERROR,
-               "streaming run's label deltas trail its committed epoch"
-               " (the label index is stale)")
 
 #: Default age (seconds since ``opened_at``) before ``WH046`` reports an
 #: open streaming run.  Zero flags *every* open run — right for an
@@ -284,9 +281,8 @@ def lint_warehouse(
 def lint_integrity(warehouse: ProvenanceWarehouse) -> List[Finding]:
     """``WH040``: expected secondary indexes the warehouse does not hold.
 
-    ``bulk_load()`` drops the ``io`` secondary indexes for the duration of
-    a bulk ingestion and rebuilds them in a ``finally`` — but a hard kill
-    skips ``finally``.  The startup probe repairs this on the next open;
+    An index can go missing through a crash or an out-of-band edit of the
+    database file.  The startup probe repairs this on the next open;
     this rule reports the live state in between (and on backends opened
     without the probe), because every deep-provenance query silently
     degrades to full scans while an index is missing.
@@ -345,7 +341,7 @@ def lint_stream_states(
     open_run_age: float = DEFAULT_OPEN_RUN_AGE,
     now: Optional[float] = None,
 ) -> List[Finding]:
-    """``WH046``/``WH047``: open streaming runs and trailing index deltas.
+    """``WH046``: open streaming runs.
 
     ``WH046`` (warning) fires for every run still open for streaming
     appends whose ``opened_at`` is at least ``open_run_age`` seconds old
@@ -353,13 +349,6 @@ def lint_stream_states(
     stored rows are a consistent prefix, but the run will never converge
     on its own.  Resume the stream (``open_run(resume=True)``) or
     finalize it.
-
-    ``WH047`` (error) fires when a run's ``delta_epoch`` watermark
-    trails its committed epoch while a label index is materialised: the
-    epoch's rows committed but the crash hit before the incremental label
-    maintenance ran, so the labels answer with the previous epoch's
-    reachability.  ``recover()`` settles this by dropping the stale
-    labels for lazy rebuild.
     """
     stream_states = getattr(warehouse, "stream_states", None)
     if not callable(stream_states):
@@ -392,20 +381,6 @@ def lint_stream_states(
                      " resume=True)) and finalize it, or raise"
                      " --open-run-age when producers are live",
             ))
-        if state.delta_epoch < state.epoch:
-            try:
-                labeled = warehouse.has_label_index(run_id)
-            except ZoomError:
-                labeled = False
-            if labeled:
-                findings.append(RULES.finding(
-                    "WH047", run_id,
-                    "run %r committed epoch %d but its labels were last"
-                    " maintained at epoch %d — label answers are stale"
-                    % (run_id, state.epoch, state.delta_epoch),
-                    hint="run 'zoom recover' to drop the stale labels"
-                         " (they rebuild lazily on the next query)",
-                ))
     return findings
 
 

@@ -370,89 +370,6 @@ def compute_lineage_labels(
     )
 
 
-def try_extend(
-    labels: LineageLabels,
-    new_steps: Sequence[Tuple[str, str]],
-    new_io_rows: Sequence[Tuple[str, str, str]],
-    new_user_inputs: Sequence[str],
-) -> Optional[LineageLabels]:
-    """Incrementally extend labels with one streaming epoch, when safe.
-
-    The interval encoding is a *global* property of the spanning forest:
-    a new step hanging below an existing one renumbers every interval to
-    its right, so most epochs must rebuild.  Two delta shapes, however,
-    provably reproduce the exact rows :func:`labels_from_rows` would
-    compute from scratch — the bar lint rule ``WH043`` holds stored
-    labels to:
-
-    * **no new steps** — the epoch only adds user inputs (and final
-      outputs, which labels do not encode).  Label rows are per-step, so
-      they are untouched; only the resolution maps (``producer``,
-      ``user_inputs``) grow.
-    * **new forest roots, appended in order** — every new step reads
-      only user inputs (no upstream steps, so the forest gains isolated
-      roots) *and* every new step id sorts after every existing root.
-      The rebuild DFS visits roots in sorted order, so such roots take
-      the next interval slots verbatim: ``(clock, clock+1)`` each, after
-      the current maximum ``post``.
-
-    Returns the extended (new, independent) :class:`LineageLabels`, or
-    ``None`` when the epoch does not fit either shape and the caller
-    must fall back to a full rebuild (the streaming ingestor's
-    ``stream.rebuild`` counter).
-    """
-    from ..warehouse.schema import DIR_OUT
-
-    modules: Dict[str, str] = dict(new_steps)
-    producer_delta: Dict[str, str] = {d: INPUT for d in new_user_inputs}
-    inputs: Dict[str, List[str]] = {step_id: [] for step_id in modules}
-    for step_id, data_id, direction in new_io_rows:
-        if step_id not in modules:
-            return None  # touches a prior-epoch step: not frontier-shaped
-        if direction == DIR_OUT:
-            if data_id in producer_delta and producer_delta[data_id] != step_id:
-                return None  # invalid delta; the rebuild path will raise
-            producer_delta[data_id] = step_id
-        else:
-            inputs[step_id].append(data_id)
-    for step_id in modules:
-        for data_id in inputs[step_id]:
-            source = producer_delta.get(data_id)
-            if source is None:
-                source = labels.producer.get(data_id)
-            if source != INPUT:
-                return None  # an upstream step: the forest would reshape
-
-    extended = LineageLabels(
-        run_id=labels.run_id,
-        version=labels.version,
-        modules={**labels.modules, **modules},
-        producer={**labels.producer, **producer_delta},
-        user_inputs=labels.user_inputs | frozenset(new_user_inputs),
-    )
-    extended.step_inputs = dict(labels.step_inputs)
-    extended.parent = dict(labels.parent)
-    extended.intervals = dict(labels.intervals)
-    extended.remainder = dict(labels.remainder)
-    if not modules:
-        return extended
-
-    existing_roots = [s for s, p in labels.parent.items() if p is None]
-    new_ids = sorted(modules)
-    if existing_roots and min(new_ids) <= max(existing_roots):
-        return None  # a rebuild would interleave the DFS numbering
-    clock = 1 + max(
-        (post for _pre, post in labels.intervals.values()), default=-1
-    )
-    for step_id in new_ids:
-        extended.step_inputs[step_id] = tuple(sorted(set(inputs[step_id])))
-        extended.parent[step_id] = None
-        extended.remainder[step_id] = ()
-        extended.intervals[step_id] = (clock, clock + 1)
-        clock += 2
-    return extended
-
-
 def labels_from_stored(
     run_id: str,
     label_rows: Sequence[Tuple[str, int, int, str, str]],

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.composite import CompositeRun
-from ..core.errors import QueryError, UnknownEntityError
+from ..core.errors import QueryError, UnknownEntityError, WarehouseError
 from ..core.view import UserView, admin_view
 from ..obs import BoundedCache, get_registry
 from ..run.run import WorkflowRun
@@ -187,11 +187,11 @@ class ProvenanceReasoner:
         The streaming counterpart of :meth:`invalidate_run`: a committed
         epoch *extended* the run's rows — it did not corrupt them — so
         the in-process memos (run, composites, closures) are stale and
-        must go, but the warehouse's persistent label index was already
-        advanced by the streaming ingestor's delta path and MUST survive.
+        must go.  The epoch's own transaction already dropped the run's
+        persistent labels, so the ``_labeled_runs`` memo goes too; the
+        next labeled query rebuilds them from the committed rows.
         Generations are bumped first for the same stale-publish race
-        :meth:`invalidate_run` documents; the ``_labeled_runs`` memo is
-        kept because the persistent index is still valid.  Registered invalidation
+        :meth:`invalidate_run` documents.  Registered invalidation
         listeners fire last so the serve layer drops its derived results
         for the run in the same stroke.
         """
@@ -199,6 +199,7 @@ class ProvenanceReasoner:
             cache.bump_generation(run_id)
         if not self._run_cache.invalidate(run_id):
             self._on_run_removed(run_id, None, "refreshed")  # type: ignore[arg-type]
+        self._labeled_runs.discard(run_id)
         get_registry().counter("reasoner.refreshes").increment()
         for listener in list(self._invalidation_listeners):
             listener(run_id)
@@ -289,11 +290,23 @@ class ProvenanceReasoner:
             self._labeled_runs.add(run_id)
 
     def _labeled_lookup(self, run_id: str, data_id: str) -> ProvenanceResult:
-        if not self._ensure_labels(run_id):
-            get_registry().counter("labels.miss").increment()
-            return self._timed_closure(run_id, data_id)
-        with get_registry().time("labels.lookup"):
-            return self.warehouse.label_lookup(run_id, data_id)
+        """Serve from the labels, or count a miss and use the closure.
+
+        Labels seen once may vanish later: a streamed epoch or a drop on
+        the owner thread removes them while this reasoner still lists
+        the run.  That is a miss too, and the memo forgets the run.
+        """
+        registry = get_registry()
+        if self._ensure_labels(run_id):
+            try:
+                with registry.time("labels.lookup"):
+                    return self.warehouse.label_lookup(run_id, data_id)
+            except WarehouseError:
+                if self.warehouse.has_label_index(run_id):
+                    raise
+                self._labeled_runs.discard(run_id)
+        registry.counter("labels.miss").increment()
+        return self._timed_closure(run_id, data_id)
 
     def _timed_closure(self, run_id: str, data_id: str) -> ProvenanceResult:
         with get_registry().time("reasoner.admin_deep"):

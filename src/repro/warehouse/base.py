@@ -21,14 +21,12 @@ creates a dataflow edge.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Container,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -58,17 +56,13 @@ class StreamState:
     (:mod:`repro.warehouse.streaming`).  ``epoch`` counts committed
     appends; ``checksum`` is the cumulative
     :func:`~repro.warehouse.recovery.run_checksum` as of that epoch — the
-    consistent prefix a torn append is truncated back to.  ``delta_epoch``
-    is the epoch through which the label index was maintained; it
-    trailing ``epoch`` means the labels are stale (lint rule
-    ``WH047``).  The record's *presence* is the open marker: finalize
-    deletes it.
+    consistent prefix a torn append is truncated back to.  The record's
+    *presence* is the open marker: finalize deletes it.
     """
 
     run_id: str
     spec_id: str
     epoch: int
-    delta_epoch: int
     checksum: str
     opened_at: Optional[float] = None
 
@@ -160,20 +154,6 @@ class ProvenanceWarehouse(ABC):
             "%s does not implement bulk ingestion; use store_run"
             % type(self).__name__
         )
-
-    @contextmanager
-    def bulk_load(self) -> Iterator[None]:
-        """Bracket a large ingestion; backends may defer index maintenance.
-
-        The batch pipeline wraps its whole run over a dataset in this
-        context.  The default is a no-op; a backend opened in a bulk-load
-        profile may drop derived structures (secondary indexes) on entry
-        and rebuild them on exit, turning per-row index maintenance into
-        one sorted build.  Implementations must restore every structure on
-        exit even when the ingestion raised, so a failed load never leaves
-        the warehouse unindexed.
-        """
-        yield
 
     # ------------------------------------------------------------------
     # Ingest journal, quarantine and integrity (crash-safe ingestion)
@@ -280,8 +260,10 @@ class ProvenanceWarehouse(ABC):
     ) -> None:
         """Apply one epoch's delta rows **atomically**.
 
-        The delta rows *and* the state advance (``epoch``/``checksum``)
-        must land in one transaction — a crash anywhere inside leaves the
+        The delta rows, the state advance (``epoch``/``checksum``) and
+        the removal of the run's reachability labels (they describe the
+        previous prefix; the next labeled query rebuilds them) must land
+        in one transaction — a crash anywhere inside leaves the
         previous epoch intact, never a half-applied one.  Instrumented
         with the ``stream.append`` fault site inside the transaction;
         implementations wrap themselves in
@@ -289,13 +271,6 @@ class ProvenanceWarehouse(ABC):
         the open-run row are absorbed.  ``user_inputs`` rows carry their
         ``who`` attribution.
         """
-        raise NotImplementedError(
-            "%s does not implement streaming ingestion" % type(self).__name__
-        )
-
-    def stream_mark_delta(self, run_id: str, epoch: int) -> None:
-        """Record that the label index was maintained through
-        ``epoch`` (the ``delta_epoch`` advance, after the epoch committed)."""
         raise NotImplementedError(
             "%s does not implement streaming ingestion" % type(self).__name__
         )

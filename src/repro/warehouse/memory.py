@@ -328,7 +328,7 @@ class InMemoryWarehouse(ProvenanceWarehouse):
             identifier = self._fresh_id(run_id, run_id, self._runs)
             self._runs[identifier] = _RunRecord(spec_id=spec_id)
             self._streams[identifier] = StreamState(
-                run_id=identifier, spec_id=spec_id, epoch=0, delta_epoch=0,
+                run_id=identifier, spec_id=spec_id, epoch=0,
                 checksum=checksum, opened_at=opened_at,
             )
 
@@ -356,9 +356,10 @@ class InMemoryWarehouse(ProvenanceWarehouse):
         applied to the copy, and only then is the run table reference
         swapped — concurrent readers holding the old record see the
         previous epoch in full; readers arriving after the swap see the
-        new one in full.  A crash or injected lock error at
-        ``stream.append`` fires before the swap, so nothing is ever
-        half-applied.
+        new one in full, without labels (they described the previous
+        prefix; the next labeled query rebuilds them).  A crash or
+        injected lock error at ``stream.append`` fires before the swap,
+        so nothing is ever half-applied.
         """
         state = self._streams.get(run_id)
         if state is None:
@@ -375,7 +376,7 @@ class InMemoryWarehouse(ProvenanceWarehouse):
             final_outputs=set(old.final_outputs),
             input_who=dict(old.input_who),
             annotations=old.annotations,
-            labels=old.labels,
+            labels=None,
         )
         for step_id, module in step_rows:
             record.steps[step_id] = module
@@ -411,15 +412,6 @@ class InMemoryWarehouse(ProvenanceWarehouse):
             self._streams[run_id] = replace(
                 state, epoch=epoch, checksum=checksum
             )
-
-    def stream_mark_delta(self, run_id: str, epoch: int) -> None:
-        with self._mutate:
-            state = self._streams.get(run_id)
-            if state is None:
-                raise WarehouseError(
-                    "run %r is not open for streaming" % run_id
-                )
-            self._streams[run_id] = replace(state, delta_epoch=epoch)
 
     def stream_close(self, run_id: str) -> None:
         with self._mutate:

@@ -497,8 +497,7 @@ def ingest_dataset(
             _flush(batch, batch_owners)
 
     prepare = _prepare_quarantinable if on_error == "quarantine" else prepare_run
-    with warehouse.bulk_load():
-        _consume(map(prepare, tasks))
+    _consume(map(prepare, tasks))
     return records
 
 

@@ -1,7 +1,7 @@
 """Crash recovery for batched ingestion: journal, checksums, quarantine.
 
-PR 4's bulk pipeline trades durability for throughput (``synchronous=OFF``,
-multi-run transactions, deferred indexes) — a crash mid-load can leave the
+The bulk pipeline trades durability for throughput (``synchronous=OFF``,
+multi-run transactions) — a crash mid-load can leave the
 warehouse partially loaded with no record of how far it got.  This module
 is the write-ahead manifest that makes those loads **crash-safe and
 resumable**:
@@ -18,8 +18,7 @@ resumable**:
   a pending entry with no stored run is a **torn** ingest, reported and
   left for ``load_dataset(resume=True)`` to re-ingest.  The warehouse's
   own integrity probe (``PRAGMA quick_check`` + expected-index repair)
-  runs first, so a kill between ``bulk_load``'s index drop and rebuild is
-  healed in the same pass.
+  runs first, so a missing secondary index is healed in the same pass.
 * Runs that fail *individually* — lint-gate rejections, validation
   errors, mid-batch storage failures — can be diverted into a
   **quarantine** (``ingest_dataset(on_error="quarantine")``) instead of
@@ -159,9 +158,8 @@ class RecoveryReport:
 
     The ``stream_*`` lists cover runs that were *open for streaming*
     (:meth:`~repro.warehouse.base.ProvenanceWarehouse.stream_states`)
-    when the crash hit: an epoch rolled forward by checksum, an append
-    truncated back to the last committed epoch, or a run whose label
-    index trailed its committed epoch and was dropped for lazy rebuild.
+    when the crash hit: an epoch rolled forward by checksum, or an append
+    truncated back to the last committed epoch.
     """
 
     integrity_ok: bool = True
@@ -171,7 +169,6 @@ class RecoveryReport:
     torn_journal: List[str] = field(default_factory=list)
     stream_rolled_forward: List[str] = field(default_factory=list)
     stream_truncated: List[str] = field(default_factory=list)
-    stream_desynced: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -184,7 +181,6 @@ class RecoveryReport:
             and not self.torn_journal
             and not self.stream_rolled_forward
             and not self.stream_truncated
-            and not self.stream_desynced
         )
 
     def summary(self) -> str:
@@ -218,11 +214,6 @@ class RecoveryReport:
             lines.append(
                 "stream appends truncated (resume re-sends): %s"
                 % ", ".join(self.stream_truncated)
-            )
-        if self.stream_desynced:
-            lines.append(
-                "stream indexes dropped (delta_epoch trailed): %s"
-                % ", ".join(self.stream_desynced)
             )
         if self.clean:
             lines.append("journal: clean")
@@ -398,10 +389,8 @@ def _recover_streams(
     * no journal entry at all → the crash hit inside ``open_run`` before
       its first journal write; re-journal the committed open state.
 
-    After the journal settles, a run whose ``delta_epoch`` trails its
-    committed epoch (crash between epoch commit and label delta — lint
-    rule ``WH047``) has its labels dropped and the watermark advanced:
-    queries rebuild lazily rather than read stale labels.
+    Labels need no pass: each epoch's transaction drops them with its
+    rows, so stored labels always describe the committed prefix.
     """
     registry = get_registry()
     states = warehouse.stream_states()
@@ -422,7 +411,7 @@ def _recover_streams(
         entry = entries.get(run_id)
         stored = checksum_stored_run(warehouse, run_id)
         if entry is not None and entry.state == JOURNAL_COMMITTED:
-            pass  # journal already settled; only the delta check remains
+            pass  # journal already settled
         elif entry is not None and stored == entry.checksum:
             warehouse.journal_commit([run_id])
             registry.counter("recovery.stream_rolled_forward").increment()
@@ -445,14 +434,6 @@ def _recover_streams(
             warehouse.delete_run(run_id)
             registry.counter("recovery.rolled_back").increment()
             report.rolled_back.append(run_id)
-            continue
-        state = warehouse.stream_state(run_id)
-        if state is not None and state.delta_epoch < state.epoch:
-            if warehouse.has_label_index(run_id):
-                warehouse.drop_label_index(run_id)
-            warehouse.stream_mark_delta(run_id, state.epoch)
-            registry.counter("recovery.stream_desynced").increment()
-            report.stream_desynced.append(run_id)
     return frozenset(states)
 
 
@@ -467,11 +448,11 @@ def recover(warehouse: ProvenanceWarehouse) -> RecoveryReport:
 
     1. **Integrity**: the backend's :meth:`integrity_report` with
        ``repair=True`` — ``PRAGMA quick_check`` plus recreation of any
-       expected index a kill inside ``bulk_load`` left dropped.
+       missing expected index.
     2. **Streams**: every run open for streaming appends is settled
        epoch-wise — rolled forward, truncated to its last committed
-       epoch, or (when its rows match no checksum) deleted; stale index
-       deltas are dropped.  See :func:`_recover_streams`.
+       epoch, or (when its rows match no checksum) deleted.  See
+       :func:`_recover_streams`.
     3. **Roll forward**: every ``pending`` journal entry whose run is
        stored with rows hashing to the journalled checksum is marked
        ``committed`` (the crash hit after the batch commit, before the

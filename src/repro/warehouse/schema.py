@@ -35,10 +35,8 @@ DIR_IN = "in"
 #: ``direction`` value for a step writing a data object.
 DIR_OUT = "out"
 
-#: The secondary indexes over the ``io`` relation, by name.  Kept apart
-#: from :data:`SQLITE_DDL` so the bulk loader can drop and recreate them
-#: around a large ingestion (one sorted build beats per-row maintenance)
-#: without duplicating the definitions.
+#: The secondary indexes over the ``io`` relation, by name, shared by
+#: :data:`SQLITE_DDL` and :data:`SQLITE_EXPECTED_INDEXES`.
 SQLITE_IO_INDEXES: Tuple[Tuple[str, str], ...] = (
     ("io_by_data", """
     CREATE INDEX IF NOT EXISTS io_by_data
@@ -213,17 +211,14 @@ SQLITE_DDL: Tuple[str, ...] = (
     # Streaming open-run state (repro.warehouse.streaming): one row per
     # run currently being appended to.  ``epoch`` counts committed
     # appends, ``checksum`` is the cumulative run checksum *as of* that
-    # epoch (what a torn append is truncated back to), ``delta_epoch``
-    # is the epoch through which the label index was
-    # incrementally maintained (lint rule WH047 reports it trailing),
-    # and ``opened_at`` feeds the WH046 staleness threshold.  The row is
+    # epoch (what a torn append is truncated back to), and ``opened_at``
+    # feeds the WH046 staleness threshold.  The row is
     # deleted by finalize_run — its presence *is* the open-run marker.
     """
     CREATE TABLE IF NOT EXISTS _stream_state (
         run_id      TEXT PRIMARY KEY,
         spec_id     TEXT NOT NULL,
         epoch       INTEGER NOT NULL,
-        delta_epoch INTEGER NOT NULL,
         checksum    TEXT NOT NULL,
         opened_at   REAL,
         state       TEXT NOT NULL CHECK (state IN ('open'))
@@ -233,7 +228,7 @@ SQLITE_DDL: Tuple[str, ...] = (
 
 #: Every secondary index the warehouse is expected to hold when healthy —
 #: what the startup integrity probe (and ``zoom recover``) verifies and
-#: recreates after a kill inside ``bulk_load`` skipped the rebuild.
+#: recreates when a crash or an out-of-band edit dropped one.
 SQLITE_EXPECTED_INDEXES: Tuple[Tuple[str, str], ...] = SQLITE_IO_INDEXES + (
     ("annotation_by_key", """
     CREATE INDEX IF NOT EXISTS annotation_by_key

@@ -48,13 +48,17 @@ from .schema import (
     SQLITE_DDL,
     SQLITE_DEEP_PROVENANCE,
     SQLITE_EXPECTED_INDEXES,
-    SQLITE_IO_INDEXES,
     SQLITE_LINEAGE_USER_INPUTS,
 )
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only, avoids an import cycle
     from ..provenance.labels import LineageLabels
     from .pipeline import PreparedRun
+
+
+#: The per-epoch label watermark ``_stream_state`` carried until streamed
+#: epochs began dropping a run's labels in their own transaction.
+_RETIRED_STREAM_COLUMN = "delta_epoch"
 
 
 def _directory_message(path: str) -> str:
@@ -83,18 +87,6 @@ class SqliteWarehouse(ProvenanceWarehouse):
         counted and timed in the default metrics registry under
         ``warehouse.sql`` (via :meth:`sqlite3.Connection.set_trace_callback`
         for the count and explicit timers on the closure queries).
-    bulk:
-        Open the connection in the **bulk-load pragma profile** for the
-        whole session: ``synchronous = OFF`` (the OS, not fsync, decides
-        when pages hit disk) and ``temp_store = MEMORY``.  Meant for
-        dedicated loader processes that can re-ingest after a crash; the
-        default service profile keeps ``synchronous = NORMAL``, the
-        durable setting WAL mode is designed for.  :meth:`store_many`
-        applies the same profile around each batch commit on a
-        non-``bulk`` connection and **restores ``synchronous = NORMAL``
-        afterwards**, so a service warehouse never stays in the relaxed
-        mode.
-
     Notes
     -----
     File-backed databases run in WAL journal mode with a 5 s busy timeout,
@@ -105,7 +97,9 @@ class SqliteWarehouse(ProvenanceWarehouse):
     same database, and silently keep their native journal mode.  All
     durability/journal pragma decisions live in
     :meth:`_apply_session_pragmas` / :meth:`_bulk_writes`; nothing else
-    touches them.
+    touches them.  :meth:`store_many` drops ``synchronous`` to ``OFF``
+    around each batch commit and **restores ``NORMAL`` afterwards**, so
+    the warehouse never stays in the relaxed mode.
 
     **Thread-affinity contract.**  The thread that constructs the
     warehouse owns the single *write* connection; every mutating method
@@ -124,7 +118,6 @@ class SqliteWarehouse(ProvenanceWarehouse):
         self,
         path: str = ":memory:",
         timing: bool = False,
-        bulk: bool = False,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         if os.path.isdir(path):
@@ -150,13 +143,11 @@ class SqliteWarehouse(ProvenanceWarehouse):
             [], self._readers_lock, "warehouse._all_readers"
         )  # guarded-by: _readers_lock
         self._write_conn = self._connect()  # thread-owned
-        #: Session-wide bulk-load pragma profile (see class docstring).
-        self._bulk = bulk
         #: Fault-injection schedule (tests only; ``None`` in production).
         self.faults = faults
         #: Indexes the startup probe found missing on an existing database
-        #: (a kill inside ``bulk_load`` skipped the rebuild); the DDL pass
-        #: below recreates them immediately.
+        #: (dropped by a crash or an out-of-band edit); the DDL pass below
+        #: recreates them immediately.
         self.repaired_indexes: List[str] = []
         self._apply_session_pragmas()
         if timing:
@@ -168,6 +159,7 @@ class SqliteWarehouse(ProvenanceWarehouse):
         for statement in SQLITE_DDL:
             self._write_conn.execute(statement)
         self._write_conn.commit()
+        self._upgrade_stream_state()
 
     # ------------------------------------------------------------------
     # Connection factory and per-thread read pool
@@ -257,6 +249,31 @@ class SqliteWarehouse(ProvenanceWarehouse):
                 "warehouse.integrity.repaired"
             ).increment(len(missing))
 
+    def _upgrade_stream_state(self) -> None:
+        """Drop the retired label-watermark column from an older database.
+
+        Its ``NOT NULL`` constraint would fail every later
+        ``stream_begin``.  One transaction drops the labels of every open
+        stream (they may trail the rows; queries rebuild them) and then
+        the column (``DROP COLUMN`` needs SQLite 3.35 or later).
+        """
+        columns = {
+            row[1]
+            for row in self._conn.execute("PRAGMA table_info(_stream_state)")
+        }
+        if _RETIRED_STREAM_COLUMN not in columns:
+            return
+        with self._conn:
+            for table in ("lineage_labels", "labels_meta"):
+                self._conn.execute(
+                    "DELETE FROM %s WHERE run_id IN"
+                    " (SELECT run_id FROM _stream_state)" % table
+                )
+            self._conn.execute(
+                "ALTER TABLE _stream_state DROP COLUMN %s"
+                % _RETIRED_STREAM_COLUMN
+            )
+
     def integrity_report(self, repair: bool = False) -> Dict[str, object]:
         """``PRAGMA quick_check`` plus the expected-index inventory.
 
@@ -293,87 +310,30 @@ class SqliteWarehouse(ProvenanceWarehouse):
         return {"ok": ok, "missing_indexes": missing, "repaired": repaired}
 
     def _apply_session_pragmas(self) -> None:
-        """The connection profile: WAL + busy retry, durability by mode.
+        """The connection profile: WAL + busy retry, durable commits.
 
-        * every session: ``foreign_keys = ON``, ``journal_mode = WAL``,
-          ``busy_timeout = 5000``;
-        * service profile (default): ``synchronous = NORMAL`` — with WAL,
-          commits are consistent across crashes and fsync happens at
-          checkpoint time;
-        * bulk profile (``bulk=True``): ``synchronous = OFF`` and
-          ``temp_store = MEMORY`` — maximum load throughput, crash safety
-          delegated to "re-run the loader".
+        ``foreign_keys = ON``, ``journal_mode = WAL``, ``busy_timeout =
+        5000`` and ``synchronous = NORMAL`` — with WAL, commits are
+        consistent across crashes and fsync happens at checkpoint time.
         """
         self._conn.execute("PRAGMA foreign_keys = ON")
         self._conn.execute("PRAGMA journal_mode = WAL")
         self._conn.execute("PRAGMA busy_timeout = 5000")
-        if self._bulk:
-            self._conn.execute("PRAGMA synchronous = OFF")
-            self._conn.execute("PRAGMA temp_store = MEMORY")
-        else:
-            self._conn.execute("PRAGMA synchronous = NORMAL")
+        self._conn.execute("PRAGMA synchronous = NORMAL")
 
     @contextmanager
     def _bulk_writes(self) -> Iterator[None]:
-        """Run one batch commit under the bulk profile, then restore.
+        """Run one batch commit with ``synchronous = OFF``, then restore.
 
-        On a ``bulk=True`` connection this is a no-op (the profile is
-        already session-wide).  Otherwise ``synchronous`` drops to ``OFF``
-        for the duration and is restored to ``NORMAL`` afterwards even on
+        ``synchronous`` is restored to ``NORMAL`` afterwards even on
         error — one fsync policy decision, documented here, instead of
         pragma statements scattered through the write paths.
         """
-        if self._bulk:
-            yield
-            return
         self._conn.execute("PRAGMA synchronous = OFF")
         try:
             yield
         finally:
             self._conn.execute("PRAGMA synchronous = NORMAL")
-
-    @contextmanager
-    def bulk_load(self) -> Iterator[None]:
-        """Defer the ``io`` secondary indexes across a whole ingestion.
-
-        Only active on a ``bulk=True`` connection (the service profile
-        keeps every index live for concurrent readers): the two covering
-        indexes over ``io`` are dropped on entry and rebuilt on exit —
-        one sorted ``CREATE INDEX`` pass over the final relation instead
-        of two b-tree insertions per ``io`` row.  The rebuild runs in a
-        ``finally`` block, so even an ingestion that raises leaves the
-        warehouse fully indexed.
-
-        An ingestion that **raises** additionally demotes the connection
-        back to the durable service profile (``synchronous = NORMAL``,
-        default ``temp_store``): a failed bulk load may be followed by
-        service traffic on the same object, and the relaxed fsync policy
-        must not leak into it.  Only a genuine process kill (the chaos
-        suite's ``InjectedCrash`` before the rebuild) can leave the
-        profile and indexes behind — exactly the state the startup
-        integrity probe repairs.
-        """
-        if not self._bulk:
-            yield
-            return
-        with self._conn:
-            for name, _ddl in SQLITE_IO_INDEXES:
-                self._conn.execute("DROP INDEX IF EXISTS %s" % name)
-        failed = False
-        try:
-            yield
-        except BaseException:
-            failed = True
-            raise
-        finally:
-            self._hit("bulk_load.rebuild")
-            with self._conn:
-                for _name, ddl in SQLITE_IO_INDEXES:
-                    self._conn.execute(ddl)
-            if failed:
-                self._bulk = False
-                self._conn.execute("PRAGMA synchronous = NORMAL")
-                self._conn.execute("PRAGMA temp_store = DEFAULT")
 
     def can_write(self) -> bool:
         """Only the owner thread holds the write connection."""
@@ -650,7 +610,7 @@ class SqliteWarehouse(ProvenanceWarehouse):
         Five prepared ``executemany`` statements over the pre-shaped row
         tuples (run_def, step, io, user_input, final_output), then — for
         prepared runs carrying labels — their label rows, all inside a
-        single transaction under the bulk pragma profile.  Id freshness is
+        single transaction under :meth:`_bulk_writes`.  Id freshness is
         checked against one precomputed set (batch + stored), so a batch
         is O(batch) instead of O(batch * stored).
 
@@ -817,14 +777,14 @@ class SqliteWarehouse(ProvenanceWarehouse):
             )
             self._conn.execute(
                 "INSERT INTO _stream_state"
-                " (run_id, spec_id, epoch, delta_epoch, checksum, opened_at,"
-                "  state) VALUES (?, ?, 0, 0, ?, ?, 'open')",
+                " (run_id, spec_id, epoch, checksum, opened_at, state)"
+                " VALUES (?, ?, 0, ?, ?, 'open')",
                 (run_id, spec_id, checksum, opened_at),
             )
 
     def stream_state(self, run_id: str) -> Optional[StreamState]:
         row = self._conn.execute(
-            "SELECT run_id, spec_id, epoch, delta_epoch, checksum, opened_at"
+            "SELECT run_id, spec_id, epoch, checksum, opened_at"
             " FROM _stream_state WHERE run_id = ?",
             (run_id,),
         ).fetchone()
@@ -836,8 +796,8 @@ class SqliteWarehouse(ProvenanceWarehouse):
         return {
             row[0]: StreamState(*row)
             for row in self._conn.execute(
-                "SELECT run_id, spec_id, epoch, delta_epoch, checksum,"
-                " opened_at FROM _stream_state ORDER BY run_id"
+                "SELECT run_id, spec_id, epoch, checksum, opened_at"
+                " FROM _stream_state ORDER BY run_id"
             )
         }
 
@@ -855,8 +815,9 @@ class SqliteWarehouse(ProvenanceWarehouse):
     ) -> None:
         """Apply one epoch's delta in a single transaction.
 
-        The delta rows and the ``_stream_state`` advance commit together,
-        so a crash anywhere inside — including the instrumented
+        The delta rows, the ``_stream_state`` advance and the deletion of
+        the run's labels commit together, so no reader ever sees labels
+        older than the rows, and a crash anywhere inside — including the instrumented
         ``stream.append`` site — rolls the whole epoch back to the
         previous consistent prefix.  An injected lock error at the same
         site aborts the transaction and is retried whole by
@@ -887,24 +848,18 @@ class SqliteWarehouse(ProvenanceWarehouse):
                 " VALUES (?, ?)",
                 [(run_id, data_id) for data_id in final_outputs],
             )
+            self._conn.execute(
+                "DELETE FROM lineage_labels WHERE run_id = ?", (run_id,)
+            )
+            self._conn.execute(
+                "DELETE FROM labels_meta WHERE run_id = ?", (run_id,)
+            )
             self._hit("stream.append")
             self._conn.execute(
                 "UPDATE _stream_state SET epoch = ?, checksum = ?"
                 " WHERE run_id = ?",
                 (epoch, checksum, run_id),
             )
-
-    @with_retries()
-    def stream_mark_delta(self, run_id: str, epoch: int) -> None:
-        with self._conn:
-            updated = self._conn.execute(
-                "UPDATE _stream_state SET delta_epoch = ? WHERE run_id = ?",
-                (epoch, run_id),
-            )
-            if updated.rowcount == 0:
-                raise WarehouseError(
-                    "run %r is not open for streaming" % run_id
-                )
 
     @with_retries()
     def stream_close(self, run_id: str) -> None:

@@ -13,8 +13,8 @@ Protocol (one :class:`StreamingIngestor` per producer):
 
 1. :meth:`~StreamingIngestor.open_run` — one transaction creates the run
    definition and an open-run row (``_stream_state``: committed epoch,
-   cumulative checksum, index watermark), then journals the empty run
-   ``committed`` at epoch 0.
+   cumulative checksum), then journals the empty run ``committed`` at
+   epoch 0.
 2. :meth:`~StreamingIngestor.ingest_events` — each call is one epoch
    ``N``: the journal entry is re-written ``pending`` with the cumulative
    checksum ``C_N`` — the run's :class:`~repro.warehouse.recovery.RunDigest`
@@ -26,16 +26,10 @@ Protocol (one :class:`StreamingIngestor` per producer):
    (fault site ``stream.epoch.mark``).  A crash in the first window
    truncates cleanly back to epoch ``N-1``; a crash in the last is rolled
    *forward* by checksum — :func:`~repro.warehouse.recovery.recover`
-   settles both.
-3. After the epoch commits, already-materialised reachability labels are
-   maintained **incrementally**: :func:`~repro.provenance.labels.try_extend`
-   grows them when the delta shape allows and falls back to a full
-   rebuild when the epoch is not frontier-shaped — the ``stream.delta`` /
-   ``stream.rebuild`` counters record which path ran.  A crash between
-   the epoch commit and the label delta (fault site ``stream.delta``)
-   leaves the ``delta_epoch`` watermark trailing — lint rule ``WH047``
-   flags it and recovery drops the stale labels.
-4. :meth:`~StreamingIngestor.finalize_run` deletes the open-run row
+   settles both.  The same transaction drops the run's reachability
+   labels: they describe committed rows only, and the next labeled query
+   rebuilds them from the new prefix.
+3. :meth:`~StreamingIngestor.finalize_run` deletes the open-run row
    (fault site ``stream.finalize``), leaving rows, indexes and journal
    byte-identical to a cold batch load of the same events.
 
@@ -46,10 +40,10 @@ first, then every call up to the durable epoch is skipped
 suite (``tests/test_streaming.py``) asserts the final warehouse
 fingerprint matches both the uninterrupted stream and a cold batch load.
 
-**Degraded reads.**  Because the rows and the state row move in one
-transaction and indexes are only ever extended *after* the commit,
-concurrent readers (:class:`~repro.serve.service.QueryService`, zoom
-sessions) always observe a complete epoch prefix — stale, never torn.
+**Degraded reads.**  Because the rows, the state row and the label drop
+move in one transaction, concurrent readers
+(:class:`~repro.serve.service.QueryService`, zoom sessions) always
+observe a complete epoch prefix — stale, never torn.
 ``Session.watch`` polls the open-run row to follow convergence.
 
 See ``docs/streaming.md`` for the crash matrix.
@@ -106,13 +100,11 @@ def chunk_log(
 
     A canonical log (:func:`~repro.run.log.log_from_run`) interleaves
     whole step blocks — a start, then the step's reads, then its writes —
-    between singleton user-input and final-output events.  Chunking at
-    arbitrary event counts can split a block, which forces the label
-    delta path to rebuild; this helper packs **whole blocks** greedily up
-    to ``max_events`` per chunk (a block larger than the budget becomes
-    its own oversized chunk), so every chunk's io rows reference only
-    steps declared in that same chunk and the delta path never falls
-    back.  Any concatenation of the chunks replays to the original log.
+    between singleton user-input and final-output events.  This helper
+    packs **whole blocks** greedily up to ``max_events`` per chunk (a
+    block larger than the budget becomes its own oversized chunk), so
+    every chunk's io rows reference only steps declared in that same
+    chunk.  Any concatenation of the chunks replays to the original log.
     """
     if max_events < 1:
         raise ValueError("max_events must be >= 1, got %r" % max_events)
@@ -145,7 +137,7 @@ class StreamingIngestor:
         Optional :class:`~repro.provenance.reasoner.ProvenanceReasoner`
         (or anything with ``refresh_run(run_id)``): notified after every
         committed epoch and on finalize, so serving caches flip to the
-        new generation without discarding the persistent indexes.
+        new generation.
     faults:
         A :class:`~repro.faults.FaultPlan` for the ``stream.*`` sites;
         defaults to the warehouse's own plan, so one plan covers the
@@ -323,13 +315,6 @@ class StreamingIngestor:
         record.final_outputs.update(new_final)
         registry.counter("stream.epochs").increment()
         registry.counter("stream.events").increment(len(batch))
-
-        # Crash window: the epoch is durably committed but the label
-        # delta below never ran — ``delta_epoch`` trails (WH047) and
-        # recovery drops the stale labels for lazy rebuild.
-        fault_hit(plan, "stream.delta")
-        self._maintain_indexes(run_id, new_steps, new_io, new_input_ids)
-        warehouse.stream_mark_delta(run_id, epoch)
         self._notify(run_id, epoch)
         return epoch
 
@@ -412,50 +397,6 @@ class StreamingIngestor:
             list(steps), list(io_rows),
             list(user_inputs.items()), list(final_outputs),
         )
-
-    def _maintain_indexes(
-        self,
-        run_id: str,
-        new_steps: List[Tuple[str, str]],
-        new_io: List[Tuple[str, str, str]],
-        new_user_inputs: List[str],
-    ) -> None:
-        """Advance already-built reachability labels past the epoch.
-
-        Labels that were never materialised stay unbuilt (queries build
-        lazily as usual).  The incremental path bumps ``stream.delta``; a
-        fallback full rebuild bumps ``stream.rebuild``.
-        """
-        from ..provenance.labels import (
-            LABELS_VERSION,
-            labels_from_stored,
-            try_extend,
-        )
-
-        warehouse = self._warehouse
-        registry = get_registry()
-        if warehouse.has_label_index(run_id):
-            stored = labels_from_stored(
-                run_id,
-                sorted(warehouse.label_rows_raw(run_id)),
-                warehouse.steps_of_run(run_id),
-                warehouse.io_rows(run_id),
-                sorted(warehouse.user_inputs(run_id)),
-                version=warehouse.label_index_version(run_id)
-                or LABELS_VERSION,
-            )
-            with registry.time("stream.index.delta"):
-                extended = try_extend(
-                    stored, new_steps, new_io, new_user_inputs
-                )
-            if extended is None:
-                with registry.time("stream.index.rebuild"):
-                    warehouse.build_label_index(run_id, rebuild=True)
-                registry.counter("stream.rebuild").increment()
-            else:
-                warehouse.drop_label_index(run_id)
-                warehouse._store_lineage_labels(extended)
-                registry.counter("stream.delta").increment()
 
     def _notify(self, run_id: str, epoch: int) -> None:
         reasoner = self._reasoner

@@ -499,11 +499,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         for run_id, state in sorted(states.items()):
             age = ("?" if state.opened_at is None
                    else "%.0f" % max(now - state.opened_at, 0.0))
-            trailing = ("" if state.delta_epoch >= state.epoch
-                        else " (labels trail at epoch %d)"
-                        % state.delta_epoch)
-            print("%s: spec %s, epoch %d, open %s s%s"
-                  % (run_id, state.spec_id, state.epoch, age, trailing))
+            print("%s: spec %s, epoch %d, open %s s"
+                  % (run_id, state.spec_id, state.epoch, age))
         return 0
 
 

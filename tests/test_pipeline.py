@@ -120,15 +120,13 @@ def reference(workload, tmp_path_factory):
 
 class TestParity:
     @pytest.mark.parametrize("batch_size", [1, 3, 100])
-    @pytest.mark.parametrize("backend", ["sqlite", "sqlite-bulk", "memory"])
+    @pytest.mark.parametrize("backend", ["sqlite", "memory"])
     def test_matches_serial(self, workload, reference, registry, tmp_path,
                             batch_size, backend):
         if backend == "memory":
             warehouse = InMemoryWarehouse()
         else:
-            warehouse = SqliteWarehouse(
-                str(tmp_path / "w.sqlite"), bulk=(backend == "sqlite-bulk")
-            )
+            warehouse = SqliteWarehouse(str(tmp_path / "w.sqlite"))
         ingest_dataset(warehouse, workload, batch_size=batch_size, labels=True)
         reference_dump, reference_lint = reference
         assert dump(warehouse) == reference_dump
@@ -273,8 +271,6 @@ class TestBulkPragmas:
     def test_profiles(self, tmp_path):
         service = SqliteWarehouse(str(tmp_path / "service.sqlite"))
         assert self.synchronous(service) == 1  # NORMAL
-        bulk = SqliteWarehouse(str(tmp_path / "bulk.sqlite"), bulk=True)
-        assert self.synchronous(bulk) == 0  # OFF
 
     def test_store_many_restores_normal(self, tmp_path):
         spec = linear_spec(1, name="bulk")
@@ -283,24 +279,12 @@ class TestBulkPragmas:
         load_dataset(warehouse, [(spec, [result])], batch_size=8)
         assert self.synchronous(warehouse) == 1
 
-    def test_bulk_load_defers_io_indexes(self, tmp_path):
-        warehouse = SqliteWarehouse(str(tmp_path / "w.sqlite"), bulk=True)
-        assert self.io_indexes(warehouse) == ["io_by_data", "io_by_step"]
-        with warehouse.bulk_load():
-            assert self.io_indexes(warehouse) == []
-        assert self.io_indexes(warehouse) == ["io_by_data", "io_by_step"]
-
-    def test_bulk_load_restores_indexes_on_error(self, tmp_path):
-        warehouse = SqliteWarehouse(str(tmp_path / "w.sqlite"), bulk=True)
-        with pytest.raises(RuntimeError):
-            with warehouse.bulk_load():
-                raise RuntimeError("mid-ingestion crash")
-        assert self.io_indexes(warehouse) == ["io_by_data", "io_by_step"]
-
     def test_service_profile_keeps_indexes_live(self, tmp_path):
+        spec = linear_spec(1, name="live")
+        result = simulate(spec, rng=random.Random(1))
         warehouse = SqliteWarehouse(str(tmp_path / "w.sqlite"))
-        with warehouse.bulk_load():
-            assert self.io_indexes(warehouse) == ["io_by_data", "io_by_step"]
+        load_dataset(warehouse, [(spec, [result])], batch_size=8)
+        assert self.io_indexes(warehouse) == ["io_by_data", "io_by_step"]
 
 
 class TestBuildLineageIndexes:

@@ -2,8 +2,8 @@
 
 The central guarantee under test: for every fault the injection harness
 of :mod:`repro.faults` can schedule — a hard kill mid-transaction, a kill
-between batch commit and journal mark, a kill during the bulk index
-rebuild, a transient SQLite lock, a corrupt run — the warehouse either
+between batch commit and journal mark, a transient SQLite lock, a corrupt
+run — the warehouse either
 finishes the load (retry), isolates the damage (quarantine) or is left in
 a state from which ``recover()`` + ``load_dataset(resume=True)`` converge
 to *exactly* the contents an uninterrupted load produces.
@@ -247,21 +247,20 @@ class TestCrashPoints:
     def test_bulk_rebuild_crash_repaired_at_reopen(
         self, workload, reference, registry, tmp_path
     ):
-        """A kill during the bulk index rebuild: data is committed but the
-        io secondary indexes are gone; the startup probe recreates them.
-
-        Only a ``bulk=True`` connection defers the indexes, so only it
-        has a rebuild to die in.
+        """Data is committed but the io secondary indexes are gone (a
+        crash or an out-of-band edit dropped them); the startup probe
+        recreates them at reopen and the load resumes.
         """
-        plan = FaultPlan().crash_at("bulk_load.rebuild")
-        warehouse = SqliteWarehouse(
-            str(tmp_path / "chaos.sqlite"), bulk=True, faults=plan
-        )
+        plan = FaultPlan().crash_at("store_many.mid", hit=2)
+        warehouse = SqliteWarehouse(str(tmp_path / "chaos.sqlite"), faults=plan)
         with pytest.raises(InjectedCrash):
             load_dataset(warehouse, workload, batch_size=BATCH)
 
         warehouse.close()
         raw = sqlite3.connect(str(tmp_path / "chaos.sqlite"))
+        with raw:
+            raw.execute("DROP INDEX io_by_data")
+            raw.execute("DROP INDEX io_by_step")
         names = {
             name for (name,) in raw.execute(
                 "SELECT name FROM sqlite_master WHERE type = 'index'"
@@ -516,9 +515,9 @@ class TestFaultPlan:
     def test_known_sites_are_stable(self):
         assert set(SITES) == {
             "store_many.begin", "store_many.mid", "journal.pending",
-            "journal.mark", "bulk_load.rebuild",
+            "journal.mark",
             "stream.epoch.pending", "stream.append", "stream.epoch.mark",
-            "stream.delta", "stream.finalize",
+            "stream.finalize",
         }
 
     def test_pending_reports_unfired_faults(self):

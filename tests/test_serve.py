@@ -1,11 +1,9 @@
 """Concurrent serving: thread affinity, the result cache, admission control.
 
-Covers the PR's three bugfixes and the ``repro.serve`` service itself:
+Covers the serving bugfixes and the ``repro.serve`` service itself:
 
 * ``SqliteWarehouse`` answers queries from worker threads (per-thread
   read-only connections) instead of raising ``sqlite3.ProgrammingError``;
-* an ingestion that raises inside ``bulk_load()`` restores the durable
-  pragma profile and rebuilds the dropped indexes;
 * ``invalidate_run`` racing an in-flight cache build can never publish a
   stale answer (generation tokens, deterministic two-thread tests);
 * N worker threads return byte-identical answers to a serial reference on
@@ -21,11 +19,12 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
+from repro.faults import FaultPlan, InjectedCrash
 from repro.obs import BoundedCache, MetricsRegistry, set_registry
 from repro.provenance.reasoner import ProvenanceReasoner
 from repro.serve import QUERY_KINDS, AdmissionError, QueryService, ServiceError
 from repro.warehouse.memory import InMemoryWarehouse
-from repro.warehouse.schema import SQLITE_IO_INDEXES
+from repro.warehouse.pipeline import PreparedRun
 from repro.warehouse.sqlite import SqliteWarehouse
 from repro.zoom.session import Session
 
@@ -121,49 +120,7 @@ class TestCrossThreadReads:
 
 
 # ----------------------------------------------------------------------
-# Bugfix 2: crash-safe bulk pragma restore
-# ----------------------------------------------------------------------
-
-
-class TestBulkRestore:
-    def _index_names(self, warehouse) -> List[str]:
-        rows = warehouse._conn.execute(
-            "SELECT name FROM sqlite_master WHERE type = 'index'"
-        ).fetchall()
-        return [row[0] for row in rows]
-
-    def test_failed_bulk_load_restores_durable_profile(self, spec, run):
-        warehouse = SqliteWarehouse(bulk=True)
-        assert warehouse._conn.execute("PRAGMA synchronous").fetchone()[0] == 0
-
-        with pytest.raises(RuntimeError):
-            with warehouse.bulk_load():
-                raise RuntimeError("ingestion died mid-batch")
-
-        # The relaxed fsync profile must not leak into service traffic.
-        assert warehouse._conn.execute("PRAGMA synchronous").fetchone()[0] == 1
-        assert warehouse._bulk is False
-        names = self._index_names(warehouse)
-        for name, _ddl in SQLITE_IO_INDEXES:
-            assert name in names
-        # And the warehouse still works.
-        _loaded(warehouse, spec, run)
-        warehouse.close()
-
-    def test_successful_bulk_load_keeps_bulk_profile(self, spec, run):
-        warehouse = SqliteWarehouse(bulk=True)
-        with warehouse.bulk_load():
-            _loaded(warehouse, spec, run)
-        assert warehouse._conn.execute("PRAGMA synchronous").fetchone()[0] == 0
-        assert warehouse._bulk is True
-        names = self._index_names(warehouse)
-        for name, _ddl in SQLITE_IO_INDEXES:
-            assert name in names
-        warehouse.close()
-
-
-# ----------------------------------------------------------------------
-# Bugfix 3: the invalidate-vs-in-flight-build race
+# Bugfix 2: the invalidate-vs-in-flight-build race
 # ----------------------------------------------------------------------
 
 
@@ -366,6 +323,23 @@ class TestConcurrencyParity:
             )
 
 
+class TestStoreManyProfile:
+    def test_failed_store_many_restores_durable_profile(self, spec, run):
+        """A batch write that dies mid-transaction still restores the
+        durable fsync profile for the service traffic that follows."""
+        warehouse = SqliteWarehouse(
+            faults=FaultPlan().crash_at("store_many.mid")
+        )
+        spec_id = warehouse.store_spec(spec)
+        with pytest.raises(InjectedCrash):
+            warehouse.store_many([PreparedRun("bulk/run1", spec_id, "r")])
+        assert warehouse._conn.execute("PRAGMA synchronous").fetchone()[0] == 1
+        assert warehouse.list_runs() == []
+        warehouse.store_run(run, spec_id, run_id="bulk/run1")
+        assert warehouse.list_runs() == ["bulk/run1"]
+        warehouse.close()
+
+
 class TestUnwarmedLabeledService:
     """A labeled service must answer runs nobody warmed: its workers hold
     read-only connections, so the read path may not build labels."""
@@ -408,6 +382,45 @@ class TestUnwarmedLabeledService:
             assert registry.counter("labels.miss").value == misses
         finally:
             service.close()
+            warehouse.close()
+            set_registry(previous)
+
+
+class TestVanishingLabels:
+    """Labels a worker already saw may vanish under it (a streamed epoch
+    or an owner-thread drop): its next lookup is a miss, not an error."""
+
+    def test_dropped_labels_fall_back_to_the_closure(
+        self, tmp_path, spec, run
+    ):
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        warehouse = SqliteWarehouse(str(tmp_path / "wh.db"))
+        try:
+            _spec_id, run_id = _loaded(warehouse, spec, run)
+            first, second, third = sorted(
+                {data_id for _s, data_id, _d in warehouse.io_rows(run_id)}
+            )[:3]
+            reference = ProvenanceReasoner(warehouse, strategy="uncached")
+            labeled = ProvenanceReasoner(warehouse, strategy="labeled")
+            labeled.ensure_run_ready(run_id)
+            assert _in_thread(
+                lambda: labeled.admin_deep(run_id, first)
+            ) == reference.admin_deep(run_id, first)
+            assert registry.counter("labels.miss").value == 0
+
+            warehouse.drop_label_index(run_id)
+            assert _in_thread(
+                lambda: labeled.admin_deep(run_id, second)
+            ) == reference.admin_deep(run_id, second)
+            assert registry.counter("labels.miss").value == 1
+
+            # The reasoner forgot the run, so the owner thread's next
+            # query rebuilds the labels.
+            assert labeled.admin_deep(run_id, third) == \
+                reference.admin_deep(run_id, third)
+            assert warehouse.has_label_index(run_id)
+        finally:
             warehouse.close()
             set_registry(previous)
 

@@ -1,18 +1,19 @@
 """Chaos tests for crash-safe streaming ingestion (epoch appends).
 
 The central guarantee under test: a producer streams a run epoch by
-epoch, a kill lands at any of the five ``stream.*`` fault sites, on any
+epoch, a kill lands at any of the four ``stream.*`` fault sites, on any
 backend (memory, SQLite) — and ``recover()`` +
 ``open_run(resume=True)`` + a replay of the same append sequence
 converge to a warehouse fingerprint byte-identical to BOTH an
 uninterrupted stream AND a cold batch load of the finished logs.  On
-top of that: incremental index deltas stay byte-identical to full
-rebuilds, and concurrent readers never observe a torn epoch.
+top of that: stored labels only ever describe committed rows, and
+concurrent readers never observe a torn epoch.
 """
 
 from __future__ import annotations
 
 import random
+import sqlite3
 import threading
 
 import pytest
@@ -21,11 +22,7 @@ from repro.core.errors import WarehouseError
 from repro.faults import FaultPlan, InjectedCrash
 from repro.lint import Linter, lint_warehouse
 from repro.obs import MetricsRegistry, set_registry
-from repro.provenance.labels import (
-    label_table_rows,
-    labels_from_rows,
-    try_extend,
-)
+from repro.provenance.labels import label_table_rows
 from repro.provenance.reasoner import ProvenanceReasoner
 from repro.run.log import EventLog, log_from_run
 from repro.warehouse.loader import load_dataset
@@ -43,7 +40,6 @@ STREAM_SITES = (
     "stream.epoch.pending",
     "stream.append",
     "stream.epoch.mark",
-    "stream.delta",
     "stream.finalize",
 )
 
@@ -249,39 +245,6 @@ class TestStreamCrashMatrix:
         )
         warehouse.close()
 
-    def test_trailing_delta_watermark_drops_indexes(
-        self, registry, tmp_path
-    ):
-        """A kill between the epoch commit and the label delta: recovery
-        detects the trailing watermark and drops the stale labels."""
-        spec, log = _chain_fixture()
-        warehouse = make_warehouse("sqlite", tmp_path)
-        spec_id = warehouse.store_spec(spec)
-        chunks = chunk_log(log, max_events=MAX_EVENTS)
-
-        ingestor = StreamingIngestor(warehouse)
-        ingestor.open_run("sw/live", spec_id)
-        ingestor.ingest_events("sw/live", chunks[0])
-        warehouse.build_label_index("sw/live")
-
-        plan = FaultPlan().crash_at("stream.delta")
-        crasher = StreamingIngestor(warehouse, faults=plan)
-        crasher.open_run("sw/live", resume=True)
-        crasher.ingest_events("sw/live", chunks[0])  # durable: skipped
-        with pytest.raises(InjectedCrash):
-            crasher.ingest_events("sw/live", chunks[1])
-        state = warehouse.stream_state("sw/live")
-        assert state.delta_epoch < state.epoch
-        assert warehouse.has_label_index("sw/live")
-
-        report = recover(warehouse)
-        assert report.stream_desynced == ["sw/live"]
-        assert registry.counter("recovery.stream_desynced").value == 1
-        assert not warehouse.has_label_index("sw/live")
-        state = warehouse.stream_state("sw/live")
-        assert state.delta_epoch == state.epoch
-        warehouse.close()
-
     def test_corrupt_stream_is_rolled_back(self, registry, tmp_path):
         """Stored rows matching neither the pending nor the committed
         checksum are half-applied garbage: the run is deleted and the
@@ -384,31 +347,40 @@ class TestResumeSemantics:
 
 
 class TestIncrementalIndexes:
-    """Epoch deltas leave indexes byte-identical to a cold rebuild."""
+    """Stored labels only ever describe committed rows."""
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_label_parity_after_n_epochs(
         self, backend, registry, tmp_path
     ):
+        """A labeled stream: after every epoch the run is unlabeled or
+        labeled exactly as a cold rebuild; the next labeled query
+        rebuilds them; after finalize every strategy answers like a cold
+        batch warehouse."""
         spec, log = _chain_fixture()
         warehouse = make_warehouse(backend, tmp_path)
         spec_id = warehouse.store_spec(spec)
         chunks = chunk_log(log, max_events=MAX_EVENTS)
+        labeled = ProvenanceReasoner(warehouse, strategy="labeled")
 
-        ingestor = StreamingIngestor(warehouse)
+        ingestor = StreamingIngestor(warehouse, reasoner=labeled)
         ingestor.open_run("sw/idx", spec_id)
         ingestor.ingest_events("sw/idx", chunks[0])
         warehouse.build_label_index("sw/idx")
         for chunk in chunks[1:]:
             ingestor.ingest_events("sw/idx", chunk)
+            assert_labels_describe_rows(warehouse, "sw/idx")
+            newest = max(d for _s, d, _dir in warehouse.io_rows("sw/idx"))
+            labeled.admin_deep("sw/idx", newest)
+            assert warehouse.has_label_index("sw/idx")
+            assert_labels_describe_rows(warehouse, "sw/idx")
         ingestor.finalize_run("sw/idx")
-        maintained = (registry.counter("stream.delta").value
-                      + registry.counter("stream.rebuild").value)
-        assert maintained == len(chunks) - 1
+        assert_labels_describe_rows(warehouse, "sw/idx")
 
-        live_labels = set(warehouse.label_rows_raw("sw/idx"))
-        warehouse.build_label_index("sw/idx", rebuild=True)
-        assert live_labels == set(warehouse.label_rows_raw("sw/idx"))
+        cold = InMemoryWarehouse()
+        cold.store_spec(spec)
+        cold.store_log(log, spec_id, run_id="sw/idx")
+        assert_strategies_match(warehouse, cold, ["sw/idx"])
         if backend != "memory":
             warehouse.close()
 
@@ -444,8 +416,8 @@ class TestIncrementalIndexes:
     def test_non_frontier_epoch_falls_back_to_rebuild(
         self, registry, tmp_path
     ):
-        """Chunking that splits a step block forces the rebuild path —
-        and the result still matches the delta path's."""
+        """Chunking that splits a step block: every epoch drops the
+        labels, and the rebuild after it matches the committed rows."""
         spec, log = _chain_fixture()
         warehouse = make_warehouse("memory", tmp_path)
         spec_id = warehouse.store_spec(spec)
@@ -459,12 +431,137 @@ class TestIncrementalIndexes:
         # very epoch *and* earlier ones in non-frontier order.
         for index in range(2, len(events)):
             ingestor.ingest_events("sw/split", [events[index]])
+            assert not warehouse.has_label_index("sw/split")
+            warehouse.build_label_index("sw/split")
+            assert_labels_describe_rows(warehouse, "sw/split")
         ingestor.finalize_run("sw/split")
-        assert registry.counter("stream.rebuild").value > 0
+        assert_labels_describe_rows(warehouse, "sw/split")
 
-        live = set(warehouse.label_rows_raw("sw/split"))
-        warehouse.build_label_index("sw/split", rebuild=True)
-        assert live == set(warehouse.label_rows_raw("sw/split"))
+
+def stream_labeled(warehouse, workload, faults):
+    """Stream the workload while a labeled owner rebuilds each run's
+    labels after every committed epoch, as its next query would."""
+    ingestor = StreamingIngestor(warehouse, faults=faults)
+    ingestor.subscribe(
+        lambda run_id, _epoch: warehouse.build_label_index(run_id)
+    )
+    for spec, _runs, logs in workload:
+        warehouse.store_spec(spec)
+        for run_id, log in logs:
+            stream_log(
+                ingestor, run_id, spec.name, log, max_events=MAX_EVENTS
+            )
+
+
+def wh043_findings(warehouse):
+    return [f for f in lint_warehouse(warehouse) if f.rule_id == "WH043"]
+
+
+@pytest.fixture(scope="module")
+def cold(workload):
+    """A cold batch warehouse of the workload's finished runs."""
+    previous = set_registry(MetricsRegistry())
+    try:
+        batch = InMemoryWarehouse()
+        load_dataset(
+            batch, [(spec, runs) for spec, runs, _logs in workload],
+            with_standard_views=False,
+        )
+        return batch
+    finally:
+        set_registry(previous)
+
+
+class TestLabeledStreamCrashMatrix:
+    """Labels live across a crash at every stream.* site: recovery never
+    leaves labels that disagree with the committed rows."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("site", STREAM_SITES)
+    def test_labeled_crash_recover_resume_converges(
+        self, site, backend, workload, reference, cold, registry, tmp_path
+    ):
+        plan = FaultPlan().crash_at(site, hit=2)
+        warehouse = make_warehouse(backend, tmp_path, faults=plan)
+        with pytest.raises(InjectedCrash):
+            stream_labeled(warehouse, workload, faults=plan)
+        assert plan.fired == ["crash:%s" % site]
+        for run_id in warehouse.list_runs():
+            assert_labels_describe_rows(warehouse, run_id)
+
+        warehouse = reopen(backend, tmp_path, warehouse)
+        recover(warehouse)
+        assert wh043_findings(warehouse) == []
+        stream_workload(warehouse, workload, resume=True)
+        assert fingerprint(warehouse) == reference
+        assert_strategies_match(warehouse, cold, cold.list_runs())
+        assert wh043_findings(warehouse) == []
+        if backend != "memory":
+            warehouse.close()
+
+
+#: ``_stream_state`` as databases written before labels were dropped in
+#: the epoch transaction declare it, with the per-epoch label watermark.
+OLD_STREAM_STATE_DDL = """
+    CREATE TABLE _stream_state (
+        run_id      TEXT PRIMARY KEY,
+        spec_id     TEXT NOT NULL,
+        epoch       INTEGER NOT NULL,
+        delta_epoch INTEGER NOT NULL,
+        checksum    TEXT NOT NULL,
+        opened_at   REAL,
+        state       TEXT NOT NULL CHECK (state IN ('open'))
+    )
+"""
+
+
+class TestUpgrade:
+    def test_old_stream_state_is_upgraded_at_open(
+        self, workload, reference, registry, tmp_path
+    ):
+        """An open stream with labels in an old-schema file: opening it
+        drops the watermark column and the open stream's labels only;
+        the stream then resumes and finalizes to the reference."""
+        _spec, _runs, logs = workload[0]
+        first, second = (run_id for run_id, _log in logs[:2])
+        first_epochs = len(chunk_log(logs[0][1], max_events=MAX_EVENTS))
+        plan = FaultPlan().crash_at("stream.append", hit=first_epochs + 2)
+        warehouse = make_warehouse("sqlite", tmp_path, faults=plan)
+        with pytest.raises(InjectedCrash):
+            stream_labeled(warehouse, workload, faults=plan)
+        assert list(warehouse.stream_states()) == [second]
+        assert warehouse.has_label_index(first)
+        assert warehouse.has_label_index(second)
+        warehouse.close()
+
+        path = str(tmp_path / "stream.sqlite")
+        raw = sqlite3.connect(path)
+        with raw:
+            rows = raw.execute(
+                "SELECT run_id, spec_id, epoch, epoch, checksum, opened_at,"
+                " state FROM _stream_state"
+            ).fetchall()
+            raw.execute("DROP TABLE _stream_state")
+            raw.execute(OLD_STREAM_STATE_DDL)
+            raw.executemany(
+                "INSERT INTO _stream_state VALUES (?, ?, ?, ?, ?, ?, ?)", rows
+            )
+        raw.close()
+
+        warehouse = SqliteWarehouse(path)
+        columns = [
+            row[1] for row in
+            warehouse._conn.execute("PRAGMA table_info(_stream_state)")
+        ]
+        assert columns == [
+            "run_id", "spec_id", "epoch", "checksum", "opened_at", "state",
+        ]
+        assert warehouse.has_label_index(first)
+        assert not warehouse.has_label_index(second)
+        stream_workload(warehouse, workload, resume=True)
+        assert fingerprint(warehouse) == reference
+        assert warehouse.stream_states() == {}
+        warehouse.close()
 
 
 class TestChunkLog:
@@ -485,51 +582,6 @@ class TestChunkLog:
     def test_max_events_validated(self):
         with pytest.raises(ValueError):
             chunk_log(EventLog(), max_events=0)
-
-
-class TestDeltaPrimitives:
-    """Unit tests for try_extend."""
-
-    def test_try_extend_refuses_non_frontier_rows(self):
-        labels = labels_from_rows(
-            "r", [("s1", "M1")], [("s1", "a", "in"), ("s1", "b", "out")],
-            ["a"],
-        )
-        assert try_extend(labels, [], [("s1", "c", "out")], []) is None
-
-    def test_try_extend_appends_forest_roots(self):
-        steps = [("s1", "M1")]
-        io_rows = [("s1", "a", "in"), ("s1", "b", "out")]
-        labels = labels_from_rows("r", steps, io_rows, ["a"])
-        extended = try_extend(
-            labels, [("s2", "M2")],
-            [("s2", "c", "in"), ("s2", "d", "out")], ["c"],
-        )
-        assert extended is not None
-        expected = label_table_rows(
-            "r", steps + [("s2", "M2")],
-            io_rows + [("s2", "c", "in"), ("s2", "d", "out")], ["a", "c"],
-        )
-        assert set(extended.iter_table_rows()) == expected
-
-    def test_try_extend_refuses_chained_steps(self):
-        steps = [("s1", "M1")]
-        io_rows = [("s1", "a", "in"), ("s1", "b", "out")]
-        labels = labels_from_rows("r", steps, io_rows, ["a"])
-        assert try_extend(
-            labels, [("s2", "M2")],
-            [("s2", "b", "in"), ("s2", "c", "out")], [],
-        ) is None
-
-    def test_try_extend_no_new_steps_is_identity_on_rows(self):
-        steps = [("s1", "M1")]
-        io_rows = [("s1", "a", "in"), ("s1", "b", "out")]
-        labels = labels_from_rows("r", steps, io_rows, ["a"])
-        extended = try_extend(labels, [], [], ["z"])
-        assert extended is not None
-        assert set(extended.iter_table_rows()) == set(
-            labels.iter_table_rows()
-        )
 
 
 class TestTransientLocks:
@@ -614,11 +666,14 @@ class TestDegradedReads:
         assert observed  # the race actually read something
         assert observed <= legal, observed - legal
 
+    @pytest.mark.parametrize("strategy", ["cached", "labeled"])
     def test_query_service_mid_append_never_errors(
-        self, registry, tmp_path
+        self, strategy, registry, tmp_path
     ):
         """A QueryService fed by the session's reasoner keeps answering
-        while epochs land; every answer is a complete prefix."""
+        while epochs land; every answer is a complete prefix.  The owner
+        warms the run between epochs, so a labeled service answers deep
+        queries from labels rebuilt for each new prefix."""
         spec, log = _chain_fixture()
         chunks = chunk_log(log, max_events=MAX_EVENTS)
         prefix_answers = _legal_prefix_answers(spec, chunks)
@@ -626,16 +681,22 @@ class TestDegradedReads:
 
         warehouse = make_warehouse("sqlite", tmp_path)
         spec_id = warehouse.store_spec(spec)
-        session = Session(warehouse, spec_id)
+        session = Session(warehouse, spec_id, strategy=strategy)
         service = session.serve(workers=2, queue_size=64)
+        reference = ProvenanceReasoner(warehouse, strategy="uncached")
         ingestor = StreamingIngestor(warehouse, reasoner=session.reasoner)
         ingestor.open_run("sw/live", spec_id)
         ingestor.ingest_events("sw/live", chunks[0])
 
         with service:
             for chunk in chunks[1:]:
+                service.warm(["sw/live"])
                 answer = frozenset(service.query("zoom", "sw/live", timeout=30))
                 assert answer in legal, answer
+                newest = max(d for _s, d, _dir in warehouse.io_rows("sw/live"))
+                assert service.query(
+                    "deep", "sw/live", data_id=newest, timeout=30
+                ) == reference.deep("sw/live", newest)
                 ingestor.ingest_events("sw/live", chunk)
             ingestor.finalize_run("sw/live")
             final = frozenset(service.query("zoom", "sw/live", timeout=30))
@@ -643,6 +704,9 @@ class TestDegradedReads:
         # The ingestor notifies the shared reasoner; the generation bumps
         # reach the service's result cache through the listener fan-out.
         assert registry.counter("reasoner.refreshes").value >= len(chunks)
+        if strategy == "labeled":
+            assert registry.timer("labels.lookup").count >= len(chunks) - 1
+            assert registry.counter("labels.miss").value == 0
         warehouse.close()
 
 
@@ -727,36 +791,6 @@ class TestLintRules:
         ]
         warehouse.close()
 
-    def test_wh047_flags_trailing_deltas_and_recover_clears_it(
-        self, registry, tmp_path
-    ):
-        spec, log = _chain_fixture()
-        warehouse = make_warehouse("sqlite", tmp_path)
-        spec_id = warehouse.store_spec(spec)
-        chunks = chunk_log(log, max_events=MAX_EVENTS)
-        ingestor = StreamingIngestor(warehouse)
-        ingestor.open_run("sw/trail", spec_id)
-        ingestor.ingest_events("sw/trail", chunks[0])
-        warehouse.build_label_index("sw/trail")
-
-        plan = FaultPlan().crash_at("stream.delta")
-        crasher = StreamingIngestor(warehouse, faults=plan)
-        crasher.open_run("sw/trail", resume=True)
-        crasher.ingest_events("sw/trail", chunks[0])  # skipped
-        with pytest.raises(InjectedCrash):
-            crasher.ingest_events("sw/trail", chunks[1])
-
-        findings = [
-            f for f in lint_warehouse(warehouse) if f.rule_id == "WH047"
-        ]
-        assert [f.subject for f in findings] == ["sw/trail"]
-
-        recover(warehouse)
-        assert not [
-            f for f in lint_warehouse(warehouse) if f.rule_id == "WH047"
-        ]
-        warehouse.close()
-
     def test_corrupt_example_plants_both_rules(self, registry, tmp_path):
         import sys
 
@@ -769,7 +803,7 @@ class TestLintRules:
         with SqliteWarehouse(path) as warehouse:
             report = lint_warehouse(warehouse)
         by_rule = {f.rule_id for f in report}
-        assert {"WH046", "WH047"} <= by_rule
+        assert "WH046" in by_rule
 
 
 class TestCli:
@@ -813,6 +847,29 @@ class TestCli:
 # ----------------------------------------------------------------------
 # Fixtures and helpers
 # ----------------------------------------------------------------------
+
+
+def assert_labels_describe_rows(warehouse, run_id):
+    """Stored labels, if any, equal a cold rebuild over the stored rows."""
+    if warehouse.has_label_index(run_id):
+        assert set(warehouse.label_rows_raw(run_id)) == label_table_rows(
+            run_id,
+            warehouse.steps_of_run(run_id),
+            warehouse.io_rows(run_id),
+            sorted(warehouse.user_inputs(run_id)),
+        )
+
+
+def assert_strategies_match(warehouse, cold, run_ids):
+    """Every strategy answers every object like a cached cold reasoner."""
+    ref = ProvenanceReasoner(cold, strategy="cached")
+    for strategy in ("cached", "uncached", "labeled"):
+        hot = ProvenanceReasoner(warehouse, strategy=strategy)
+        for run_id in run_ids:
+            for data_id in sorted({d for _s, d, _dir in cold.io_rows(run_id)}):
+                assert hot.admin_deep(run_id, data_id) == ref.admin_deep(
+                    run_id, data_id
+                ), (strategy, run_id, data_id)
 
 
 def _chain_fixture():
